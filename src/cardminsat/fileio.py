@@ -149,7 +149,10 @@ def parse_formula_file(text: str, base_dir: str | Path | None = None,
         if not target.is_file():
             raise ParseError(f"lang import {p!r} not found under {base}")
         imported = load_language(target)
-        merged = imported if merged is None else merged.union(imported)
+        try:
+            merged = imported if merged is None else merged.union(imported)
+        except ValueError as exc:
+            raise ParseError(f"lang import {p!r}: {exc}") from None
     if merged is None:
         raise ParseError("formula file imports no relation language")
     constraints = []

@@ -78,10 +78,9 @@ class Formula:
         return tuple(seen)
 
     def relations(self) -> tuple[Relation, ...]:
-        out: dict[str, Relation] = {}
-        for c in self.constraints:
-            out.setdefault(c.relation.name, c.relation)
-        return tuple(out.values())
+        """The distinct relations used, by name and tuples, in first-use order."""
+        by_id = {id(c.relation): c.relation for c in self.constraints}
+        return tuple(dict.fromkeys(by_id.values()))
 
     def evaluate(self, values: Mapping[str, int]) -> bool:
         for rel, vs in self.constraints:

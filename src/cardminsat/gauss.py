@@ -222,16 +222,18 @@ def formula_system(formula: Formula) -> GF2Solver | None:
     routed through ``GF2Solver.add``.
     """
     solver = GF2Solver()
-    cache: dict[str, tuple[tuple[tuple[int, ...], int], ...]] = {}
+    # keyed by identity: the formula keeps every relation alive, and
+    # same-named relations may differ
+    cache: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
     mask = solver.mask
     users = solver._users
     for rel, vs in formula.constraints:
-        checks = cache.get(rel.name)
+        checks = cache.get(id(rel))
         if checks is None:
             found = affine_parity_checks(rel)
             if found is None:
                 return None
-            checks = cache[rel.name] = found
+            checks = cache[id(rel)] = found
         if solver.unsat:
             break
         for coords, parity in checks:

@@ -169,8 +169,15 @@ class ConstraintLanguage:
         return max(r.arity for r in self.relations)
 
     def union(self, other: "ConstraintLanguage") -> "ConstraintLanguage":
-        extra = tuple(r for r in other.relations if r.name not in self)
-        return ConstraintLanguage(self.relations + extra)
+        """Both languages' relations; a name both define must have the same
+        tuples in both (ValueError otherwise)."""
+        extra = []
+        for r in other.relations:
+            if r.name not in self:
+                extra.append(r)
+            elif not self.get(r.name).same_tuples(r):
+                raise ValueError(f"relation {r.name!r} is defined twice with different tuples")
+        return ConstraintLanguage(self.relations + tuple(extra))
 
 
 # ---------------------------------------------------------------------------

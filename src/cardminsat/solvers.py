@@ -14,6 +14,7 @@ from .coclones import Bucket, classify_cms
 from .errors import PreconditionError
 from .formulas import (Assignment, CmsAnswer, Formula, IN_MIN_MODEL, QUERY_FALSE,
                        UNSATISFIABLE, require_query)
+from .gauss import affine_parity_checks
 from .relations import ConstraintLanguage, Relation
 
 
@@ -43,47 +44,25 @@ def oracle_budget(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _own_candidates(rel: Relation, positions: list[int]) -> list[tuple[int, ...]]:
-    """Relation tuples consistent with repeated variables in the constraint."""
-    out = []
-    for t in rel.tuples():
-        seen: dict[int, int] = {}
-        if all(seen.setdefault(p, t[j]) == t[j] for j, p in enumerate(positions)):
-            out.append(t)
-    return out
-
-
 def solve_horn(formula: Formula, query: str) -> SolveReport:
     """Least-model computation by generalized unit propagation.
 
-    Maintains the set of variables forced to 1; each pass keeps only the
-    relation tuples pointwise-compatible with the forced set and forces every
-    position on which all surviving tuples agree on 1.  The fixpoint is the
-    unique minimum-weight model.
+    Runs the search kernel's propagation from the empty assignment.  For
+    Horn relations it meets a conflict exactly when the formula is
+    unsatisfiable; otherwise the variables it forces to 1 are those of the
+    least model, which is the unique minimum-weight model (every other
+    variable is 0 there).
     """
     require_query(formula, query)
     for rel in formula.relations():
         if not closed_under(rel, AND2):
             raise PreconditionError(f"relation {rel.name} is not Horn; refusing to run the Horn engine")
-    index = {v: i for i, v in enumerate(formula.universe)}
-    compiled = [( [index[v] for v in vs], _own_candidates(rel, [index[v] for v in vs]))
-                for rel, vs in formula.constraints]
-    forced: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for positions, candidates in compiled:
-            compat = [t for t in candidates
-                      if all(t[j] == 1 for j, p in enumerate(positions) if p in forced)]
-            if not compat:
-                return SolveReport(CmsAnswer(False, None, None, UNSATISFIABLE), Engine.HORN_FIXPOINT)
-            for j, p in enumerate(positions):
-                if p not in forced and all(t[j] == 1 for t in compat):
-                    forced.add(p)
-                    changed = True
-    values = tuple(1 if i in forced else 0 for i in range(len(formula.universe)))
-    min_weight = len(forced)
-    if index[query] in forced:
+    forced = search.propagate(formula)
+    if forced is None:
+        return SolveReport(CmsAnswer(False, None, None, UNSATISFIABLE), Engine.HORN_FIXPOINT)
+    values = tuple(1 if b == 1 else 0 for b in forced)
+    min_weight = sum(values)
+    if values[formula.universe.index(query)]:
         witness = Assignment(formula.universe, values)
         return SolveReport(CmsAnswer(True, min_weight, witness, IN_MIN_MODEL), Engine.HORN_FIXPOINT)
     return SolveReport(CmsAnswer(False, min_weight, None, QUERY_FALSE), Engine.HORN_FIXPOINT)
@@ -96,49 +75,46 @@ def solve_horn(formula: Formula, query: str) -> SolveReport:
 
 @lru_cache(maxsize=512)
 def _w2a_compile(rel: Relation) -> tuple[tuple, ...]:
-    """Implied <=2-variable parity equations over coordinates; verified to
-    define the relation exactly (else the relation is not width-2-affine)."""
+    """Unit and two-variable parity equations over coordinates that define
+    the relation exactly: its parity checks, which have width <= 2 once the
+    relation is width-2-affine (the empty relation gives x=0 and x=1)."""
     if not (saturated_models(rel, ("T", "F", "eq", "neq")) == rel.table()).all():
         raise PreconditionError(
             f"relation {rel.name} is not width-2-affine; refusing to run the parity engine")
-    tuples = rel.tuples()
-    k = rel.arity
-    eqs: list[tuple] = []
-    for i in range(k):
-        col = {t[i] for t in tuples}
-        if col == {0}:
-            eqs.append(("unit", i, 0))
-        elif col == {1}:
-            eqs.append(("unit", i, 1))
-    for i in range(k):
-        for j in range(i + 1, k):
-            pairs = {(t[i] ^ t[j]) for t in tuples}
-            if pairs == {0}:
-                eqs.append(("pair", i, j, 0))
-            elif pairs == {1}:
-                eqs.append(("pair", i, j, 1))
-    return tuple(eqs)
+    return tuple(("unit", coords[0], parity) if len(coords) == 1 else ("pair", *coords, parity)
+                 for coords, parity in affine_parity_checks(rel))
 
 
 class _ParityDSU:
+    """Union-find with the parity of each variable to its root; union by
+    size and path compression keep every find iterative and short."""
+
     ZERO = "\x00const"
 
     def __init__(self) -> None:
         self.parent: dict[str, str] = {}
         self.par: dict[str, int] = {}
+        self.size: dict[str, int] = {}
         self.unsat = False
 
     def find(self, v: str) -> tuple[str, int]:
-        if v not in self.parent:
-            self.parent[v] = v
-            self.par[v] = 0
+        parent, par = self.parent, self.par
+        if v not in parent:
+            parent[v] = v
+            par[v] = 0
+            self.size[v] = 1
             return v, 0
-        if self.parent[v] == v:
-            return v, self.par[v]
-        root, p = self.find(self.parent[v])
-        self.par[v] ^= p
-        self.parent[v] = root
-        return root, self.par[v]
+        path = []
+        root = v
+        while parent[root] != root:
+            path.append(root)
+            root = parent[root]
+        p = 0
+        for u in reversed(path):  # nearest to the root first
+            p ^= par[u]
+            par[u] = p
+            parent[u] = root
+        return root, (par[v] if path else 0)
 
     def union(self, u: str, v: str, parity: int) -> None:
         ru, pu = self.find(u)
@@ -147,8 +123,11 @@ class _ParityDSU:
             if pu ^ pv != parity:
                 self.unsat = True
             return
+        if self.size[ru] < self.size[rv]:
+            ru, rv = rv, ru
         self.parent[rv] = ru
         self.par[rv] = pu ^ pv ^ parity
+        self.size[ru] += self.size[rv]
 
 
 def solve_width2affine(formula: Formula, query: str) -> SolveReport:
@@ -159,11 +138,11 @@ def solve_width2affine(formula: Formula, query: str) -> SolveReport:
     unforced component (both on ties).
     """
     require_query(formula, query)
-    compiled = {rel.name: _w2a_compile(rel) for rel in formula.relations()}
+    compiled = {rel: _w2a_compile(rel) for rel in formula.relations()}
     dsu = _ParityDSU()
     unsat = False
     for rel, vs in formula.constraints:
-        for eq in compiled[rel.name]:
+        for eq in compiled[rel]:
             if eq[0] == "unit":
                 _, i, a = eq
                 dsu.union(vs[i], dsu.ZERO, a)
@@ -242,24 +221,33 @@ def solve_generic(formula: Formula, query: str) -> SolveReport:
     """Binary search over the weight bound with an internal NP oracle,
     then one final call with the query atom forced to 1.
 
-    The number of oracle calls never exceeds ceil(log2(n+2)) + 1.
+    A model found at bound ``mid`` lowers ``hi`` to its own weight, which
+    never adds a call.  The last model found is the lexicographically least
+    minimum-weight model, so when it sets the query it is the witness and
+    the final call is skipped.  The number of oracle calls never exceeds
+    ceil(log2(n+2)) + 1.
     """
     require_query(formula, query)
     n = formula.num_vars
     calls = 0
     lo, hi = 0, n + 1  # n+1 encodes "unsatisfiable"
+    least = None
     while lo < hi:
         mid = (lo + hi) // 2
         calls += 1
-        if search.sat_leq(formula, mid):
-            hi = mid
-        else:
+        model = search.find_model(formula, mid)
+        if model is None:
             lo = mid + 1
-    if lo == n + 1:
+        else:
+            least, hi = model, model.weight
+    if least is None:
         return SolveReport(CmsAnswer(False, None, None, UNSATISFIABLE), Engine.GENERIC_ORACLE, calls)
     min_weight = lo
-    calls += 1
-    witness = search.find_model(formula, weight_bound=min_weight, forced={query: 1})
+    if least.value(query):
+        witness = least
+    else:
+        calls += 1
+        witness = search.find_model(formula, weight_bound=min_weight, forced={query: 1})
     if witness is None:
         return SolveReport(CmsAnswer(False, min_weight, None, QUERY_FALSE), Engine.GENERIC_ORACLE, calls)
     return SolveReport(CmsAnswer(True, min_weight, witness, IN_MIN_MODEL), Engine.GENERIC_ORACLE, calls)

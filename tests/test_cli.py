@@ -4,7 +4,7 @@ from cardminsat import (ConstraintLanguage, render_language, render_pap,
                         reduce_cms_xor3_to_relevance, Formula, constraint)
 from cardminsat.cli import run
 
-from helpers import OR2, T, XOR3
+from helpers import EQ, NEQ, OR2, T, XOR3
 
 
 @pytest.fixture()
@@ -130,3 +130,35 @@ def test_guard_exit_code(tmp_path):
     wide = " ".join(f"v{i}" for i in range(30))
     (tmp_path / "w.cms").write_text(f"lang l.rel\nvar {wide}\nc T v0\nquery v0\n")
     assert run(["verify", str(tmp_path / "w.cms")]) == 3
+
+
+def test_deep_instances_solve_without_traceback(tmp_path, capsys):
+    (tmp_path / "or2.rel").write_text(render_language(ConstraintLanguage.of(OR2)))
+    wide = " ".join(f"v{i}" for i in range(1100))
+    (tmp_path / "wide.cms").write_text(f"lang or2.rel\nvar {wide}\nc OR2 v0 v1\nquery v0\n")
+    (tmp_path / "eqt.rel").write_text(render_language(ConstraintLanguage.of(EQ, T)))
+    links = "".join(f"c EQ e{i + 1} e{i}\n" for i in range(1999))
+    (tmp_path / "chain.cms").write_text(f"lang eqt.rel\n{links}c T e1999\nquery e0\n")
+    for argv in (["solve", str(tmp_path / "wide.cms")],
+                 ["solve", str(tmp_path / "chain.cms")],
+                 ["solve", str(tmp_path / "chain.cms"), "--engine", "w2a"]):
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert "verdict=yes" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+
+def test_empty_relation_verifies(tmp_path, capsys):
+    (tmp_path / "lang.rel").write_text("relation E 1\n\n" + render_language(ConstraintLanguage.of(NEQ)))
+    (tmp_path / "f.cms").write_text("lang lang.rel\nvar x y\nc NEQ x y\nc E y\nquery x\n")
+    assert run(["verify", str(tmp_path / "f.cms")]) == 0
+    assert "agree=true" in capsys.readouterr().out
+    assert run(["solve", str(tmp_path / "f.cms")]) == 0
+    assert "reason=unsatisfiable" in capsys.readouterr().out
+
+
+def test_conflicting_lang_imports_are_a_parse_error(tmp_path):
+    (tmp_path / "a.rel").write_text("relation R 2\n01\n10\n\n")
+    (tmp_path / "b.rel").write_text("relation R 2\n11\n\n")
+    (tmp_path / "f.cms").write_text("lang a.rel\nlang b.rel\nvar x y\nc R x y\nquery x\n")
+    assert run(["solve", str(tmp_path / "f.cms")]) == 2

@@ -99,3 +99,11 @@ def test_language_validation():
     assert lang.get("F").tuples() == [(0,)]
     assert "T" in lang and "EQ" not in lang
     assert lang.max_arity == 1
+
+
+def test_language_union_rejects_a_redefined_name():
+    t, f = build_named_relation("T"), build_named_relation("F")
+    merged = ConstraintLanguage.of(t).union(ConstraintLanguage.of(t, f))
+    assert [r.name for r in merged] == ["T", "F"]
+    with pytest.raises(ValueError):
+        ConstraintLanguage.of(t).union(ConstraintLanguage.of(f.renamed("T")))

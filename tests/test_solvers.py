@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from cardminsat import (ConstraintLanguage, Engine, Formula, PreconditionError, cms_bruteforce,
-                        constraint, dispatch, enumerate_models, oracle_budget, solve_brute,
-                        solve_generic, solve_horn, solve_width2affine)
+from cardminsat import (ConstraintLanguage, Engine, Formula, PreconditionError, Relation,
+                        cms_affine, cms_bruteforce, constraint, dispatch, enumerate_models,
+                        oracle_budget, solve_brute, solve_generic, solve_horn,
+                        solve_width2affine)
 
 from helpers import (EQ, F, IMPL, NAE3, NAND2, NEQ, OR2, T, XOR3, random_mixed_formula)
 
@@ -161,3 +162,31 @@ def test_horn_models_are_and_closed():
             for b in models[:10]:
                 meet = tuple(x & y for x, y in zip(a.values, b.values))
                 assert meet in model_set
+
+
+def test_w2a_long_eq_chain():
+    # a recursive find used to overflow the interpreter's stack on this chain
+    vs = [f"e{i}" for i in range(2000)]
+    f = Formula.of([constraint(EQ, vs[i + 1], vs[i]) for i in range(1999)]
+                   + [constraint(T, vs[1999])])
+    r = solve_width2affine(f, "e0")
+    assert r.answer.verdict and r.answer.min_weight == 2000
+
+
+def test_w2a_empty_relation_is_a_contradiction():
+    empty = Relation("E", 1, 0)
+    f = Formula.of([constraint(NEQ, "x", "y"), constraint(empty, "y")])
+    assert solve_width2affine(f, "x").answer.reason == "unsatisfiable"
+    assert dispatch(ConstraintLanguage.of(empty, NEQ), f, "x").answer.key() == \
+        cms_bruteforce(f, "x").key()
+
+
+def test_same_named_relations_are_told_apart():
+    r_neq, r_11 = NEQ.renamed("R"), Relation.from_rows("R", 2, ["11"])
+    f = Formula.of([constraint(r_neq, "x", "y"), constraint(r_11, "x", "y")])
+    assert f.relations() == (r_neq, r_11)
+    assert cms_bruteforce(f, "x").reason == "unsatisfiable"
+    assert solve_width2affine(f, "x").answer.reason == "unsatisfiable"
+    assert cms_affine(f, "x") == (False, None, False)
+    with pytest.raises(PreconditionError):
+        dispatch(ConstraintLanguage.of(r_neq), f, "x")
