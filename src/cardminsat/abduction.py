@@ -9,8 +9,8 @@ from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import GuardError, NoSolutionError, ParseError, PreconditionError
-from .formulas import Formula, require_query
-from .gauss import gauss_solve
+from .formulas import Formula, fresh_prefix, require_query
+from .gauss import GF2Solver, gauss_solve
 from .relations import build_named_relation
 
 CLOSED_WORLD = "cw"
@@ -66,50 +66,43 @@ def _units(pap: PAP, chosen: frozenset[str], semantics: str) -> dict[str, int]:
     return units
 
 
-def is_solution(pap: PAP, chosen: Iterable[str], semantics: str = CLOSED_WORLD,
-                max_vars: int = VAR_GUARD) -> bool:
+def is_solution(pap: PAP, chosen: Iterable[str], semantics: str = CLOSED_WORLD) -> bool:
     """Is the hypothesis set a solution: theory plus the chosen units is
     consistent and entails every manifestation?
 
     Under the closed-world reading the un-chosen hypotheses are asserted
-    false; under the positive-units reading they are left open.  Entailment
-    is checked by enumeration over the unfixed variables, with a fast
-    parity-elimination consistency pre-filter.
+    false; under the positive-units reading they are left open.  The theory
+    and the units are one parity system, which entails a manifestation
+    exactly when its value mask is the constant 1.
     """
     _check_semantics(semantics)
     chosen = frozenset(chosen)
     for h in chosen:
         if h not in pap.hypotheses:
             raise PreconditionError(f"{h!r} is not a hypothesis")
-    if len(pap.variables) > max_vars:
-        raise GuardError(f"{len(pap.variables)} variables exceed the enumeration guard ({max_vars})")
-    units = _units(pap, chosen, semantics)
-    equations = [(c.vars, c.parity) for c in pap.theory]
-    equations.extend((((v,), b) for v, b in units.items()))
-    sat, _ = gauss_solve(equations)
-    if not sat:
-        return False
-    free = [v for v in pap.variables if v not in units]
-    values = dict(units)
-    targets = [m for m in pap.manifestations]
-    for mask in range(1 << len(free)):
-        for i, v in enumerate(free):
-            values[v] = (mask >> i) & 1
-        if all(sum(values[x] for x in c.vars) % 2 == c.parity for c in pap.theory):
-            if any(values[m] == 0 for m in targets):
-                return False
-    return True
+    solver = GF2Solver()
+    for c in pap.theory:
+        solver.add(c.vars, c.parity)
+    for v, b in _units(pap, chosen, semantics).items():
+        solver.add((v,), b)
+    return solver.satisfiable and all(solver.value_mask(m) == 1 for m in pap.manifestations)
 
 
 def relevance_bruteforce(pap: PAP, hypothesis: str, semantics: str = CLOSED_WORLD,
-                         max_vars: int = VAR_GUARD) -> bool:
-    """Does some minimum-cardinality solution contain the hypothesis?"""
+                         max_hypotheses: int = VAR_GUARD) -> bool:
+    """Does some minimum-cardinality solution contain the hypothesis?
+
+    Searches the hypothesis subsets by size, so the number of hypotheses is
+    guarded.
+    """
     _check_semantics(semantics)
     if hypothesis not in pap.hypotheses:
         raise PreconditionError(f"{hypothesis!r} is not a hypothesis")
+    if len(pap.hypotheses) > max_hypotheses:
+        raise GuardError(f"{len(pap.hypotheses)} hypotheses exceed the subset-search guard "
+                         f"({max_hypotheses})")
     for size in range(len(pap.hypotheses) + 1):
-        found = [s for s in combinations(pap.hypotheses, size)
-                 if is_solution(pap, s, semantics, max_vars)]
+        found = [s for s in combinations(pap.hypotheses, size) if is_solution(pap, s, semantics)]
         if found:
             return any(hypothesis in s for s in found)
     raise NoSolutionError("the abduction instance has no solution")
@@ -126,9 +119,7 @@ def reduce_cms_xor3_to_relevance(formula: Formula, query: str) -> tuple[PAP, str
     for rel, _ in formula.constraints:
         if not rel.same_tuples(_XOR3):
             raise PreconditionError(f"constraint over {rel.name} is outside the ternary-parity fragment")
-    prefix = "_"
-    while any(v.startswith(prefix) for v in formula.universe):
-        prefix += "_"
+    prefix = fresh_prefix(formula.universe)
     goals = tuple(f"{prefix}g{i}" for i in range(1, formula.num_constraints + 1))
     theory = tuple(XorClause(vs + (g,), 0) for (_, vs), g in zip(formula.constraints, goals))
     pap = PAP(formula.universe + goals, formula.universe, goals, theory)

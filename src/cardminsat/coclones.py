@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .classify import PropertyFingerprint, clause_definable, fingerprint, relation_properties
 from .errors import CardMinSatError, GuardError
@@ -213,23 +214,33 @@ class ClassificationVerdict:
     coclone: CoCloneId | None
 
 
-def classify_cms(language: ConstraintLanguage) -> ClassificationVerdict:
-    """The tractability classification of the minimum-weight query problem.
+def cms_bucket(language: ConstraintLanguage) -> Bucket:
+    """The tractability bucket of the minimum-weight query problem.
 
     0-valid languages are trivial (the answer is always no, the all-zero
     model being the unique minimum); otherwise Horn and width-2-affine
-    languages are polynomial and everything else is complete for polynomial
-    time with logarithmically many NP-oracle calls.
+    (affine and bijunctive) languages are polynomial and everything else is
+    complete for polynomial time with logarithmically many NP-oracle calls.
     """
+    props = [relation_properties(r) for r in language]
+
+    def every(key: str) -> bool:
+        return all(p[key] for p in props)
+
+    if every("zero"):
+        return Bucket.TRIVIAL_0VALID
+    if every("horn"):
+        return Bucket.POLY_HORN
+    if every("affine") and every("bij"):
+        return Bucket.POLY_WIDTH2_AFFINE
+    return Bucket.THETA2_COMPLETE
+
+
+def classify_cms(language: ConstraintLanguage) -> ClassificationVerdict:
+    """The bucket together with the full property fingerprint and the
+    co-clone of the language (None when identification hits a guard)."""
+    bucket = cms_bucket(language)
     fp = fingerprint(language)
-    if fp.zero_valid:
-        bucket = Bucket.TRIVIAL_0VALID
-    elif fp.horn:
-        bucket = Bucket.POLY_HORN
-    elif fp.width2_affine:
-        bucket = Bucket.POLY_WIDTH2_AFFINE
-    else:
-        bucket = Bucket.THETA2_COMPLETE
     try:
         cc = identify_coclone(language)
     except GuardError:
@@ -265,12 +276,7 @@ def identify_coclone(language: ConstraintLanguage) -> CoCloneId:
 
 def _rel(name: str, arity: int, pred) -> Relation:
     return Relation.from_tuples(name, arity,
-                                [t for t in _all_tuples(arity) if pred(*t)])
-
-
-def _all_tuples(arity: int):
-    for idx in range(1 << arity):
-        yield tuple((idx >> (arity - 1 - i)) & 1 for i in range(arity))
+                                [t for t in product((0, 1), repeat=arity) if pred(*t)])
 
 
 def _weak_base_fixed(tag: str) -> Relation:
@@ -359,34 +365,36 @@ def _weak_base_is(tag: str, k: int) -> Relation:
     name = f"R_{tag}_{k}"
     if tag == "IS0":
         return Relation.from_tuples(name, k + 1,
-                                    [t for t in _all_tuples(k + 1) if orr(t) and t[k] == 1])
+                                    [t for t in product((0, 1), repeat=k + 1)
+                                     if orr(t) and t[k] == 1])
     if tag == "IS02":
         return Relation.from_tuples(name, k + 2,
-                                    [t for t in _all_tuples(k + 2)
+                                    [t for t in product((0, 1), repeat=k + 2)
                                      if orr(t) and t[k] == 0 and t[k + 1] == 1])
     if tag == "IS01":
         return Relation.from_tuples(name, k + 2,
-                                    [t for t in _all_tuples(k + 2)
+                                    [t for t in product((0, 1), repeat=k + 2)
                                      if orr(t) and (not t[k] or all(t[:k])) and t[k + 1] == 1])
     if tag == "IS00":
         return Relation.from_tuples(name, k + 3,
-                                    [t for t in _all_tuples(k + 3)
+                                    [t for t in product((0, 1), repeat=k + 3)
                                      if orr(t) and (not t[k] or all(t[:k]))
                                      and t[k + 1] == 0 and t[k + 2] == 1])
     if tag == "IS1":
         return Relation.from_tuples(name, k + 1,
-                                    [t for t in _all_tuples(k + 1) if nand(t) and t[k] == 0])
+                                    [t for t in product((0, 1), repeat=k + 1)
+                                     if nand(t) and t[k] == 0])
     if tag == "IS12":
         return Relation.from_tuples(name, k + 2,
-                                    [t for t in _all_tuples(k + 2)
+                                    [t for t in product((0, 1), repeat=k + 2)
                                      if nand(t) and t[k] == 0 and t[k + 1] == 1])
     if tag == "IS11":
         return Relation.from_tuples(name, k + 2,
-                                    [t for t in _all_tuples(k + 2)
+                                    [t for t in product((0, 1), repeat=k + 2)
                                      if nand(t) and all(x <= t[k] for x in t[:k]) and t[k + 1] == 0])
     if tag == "IS10":
         return Relation.from_tuples(name, k + 3,
-                                    [t for t in _all_tuples(k + 3)
+                                    [t for t in product((0, 1), repeat=k + 3)
                                      if nand(t) and all(x <= t[k] for x in t[:k])
                                      and t[k + 1] == 0 and t[k + 2] == 1])
     raise AssertionError(tag)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .relations import Relation, tuple_to_index
+from .relations import Relation
 
 
 class Constraint(NamedTuple):
@@ -159,8 +159,7 @@ class CmsStarInstance:
     bound: int
 
     def __post_init__(self) -> None:
-        if self.query not in self.formula.universe:
-            raise PreconditionError(f"query atom {self.query!r} is not in the universe")
+        require_query(self.formula, self.query)
         if self.bound < 0:
             raise ValueError("bound must be non-negative")
 
@@ -170,6 +169,9 @@ def require_query(formula: Formula, query: str) -> None:
         raise PreconditionError(f"query atom {query!r} is not in the universe")
 
 
-def index_of_assignment(universe: Sequence[str], values: Mapping[str, int]) -> int:
-    """Assignment as an integer, first universe variable most significant."""
-    return tuple_to_index([values[v] for v in universe])
+def fresh_prefix(universe: Sequence[str]) -> str:
+    """The shortest run of underscores that starts no universe variable."""
+    prefix = "_"
+    while any(v.startswith(prefix) for v in universe):
+        prefix += "_"
+    return prefix

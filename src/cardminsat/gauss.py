@@ -59,37 +59,45 @@ class GF2Solver:
 
     def add(self, vars: Sequence[str], parity: int) -> None:
         """Add the equation ``xor(vars) = parity``; repetitions cancel."""
+        self.add_checks(vars, ((range(len(vars)), parity & 1),))
+
+    def add_checks(self, vs: Sequence[str], checks: Iterable[tuple[Sequence[int], int]]) -> None:
+        """Add ``xor(vs[j] for j in coords) = parity`` for each
+        ``(coords, parity)`` with ``parity`` in {0, 1}; repeated variables
+        cancel.  Nothing is added once the system is unsatisfiable."""
         if self.unsat:
             return
         mask = self.mask
-        expr = parity & 1
-        unseen: list[str] = []
-        for v in vars:
-            m = mask.get(v)
-            if m is not None:
-                expr ^= m
-            elif v in unseen:
-                unseen.remove(v)
-            else:
-                unseen.append(v)
-        if unseen:
-            pivot = unseen.pop()
-            for v in unseen:
-                expr ^= 1 << self._new_slot(v)
-            mask[pivot] = expr
-            users = self._users
-            bits = expr & ~1
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                users[low.bit_length() - 1].add(pivot)
-            return
-        if expr == 0:
-            return
-        if expr == 1:
-            self.unsat = True
-            return
-        self._retire(expr)
+        users = self._users
+        for coords, parity in checks:
+            expr = parity
+            unseen: list[str] | None = None
+            for j in coords:
+                v = vs[j]
+                m = mask.get(v)
+                if m is not None:
+                    expr ^= m
+                elif unseen is None:
+                    unseen = [v]
+                elif v in unseen:
+                    unseen.remove(v)
+                else:
+                    unseen.append(v)
+            if unseen:
+                pivot = unseen.pop()
+                for v in unseen:
+                    expr ^= 1 << self._new_slot(v)
+                mask[pivot] = expr
+                bits = expr & ~1
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    users[low.bit_length() - 1].add(pivot)
+            elif expr == 1:
+                self.unsat = True
+                return
+            elif expr:
+                self._retire(expr)
 
     def _retire(self, expr: int) -> None:
         """Pick the least-referenced free slot of ``expr``, solve its
@@ -217,56 +225,20 @@ def is_affine(rel: Relation) -> bool:
 def formula_system(formula: Formula) -> GF2Solver | None:
     """Load a formula whose relations are all affine; None otherwise.
 
-    This is the hot path for verifying reduction outputs with hundreds of
-    thousands of constraints, so the equation fold is inlined rather than
-    routed through ``GF2Solver.add``.
+    Every relation is checked, also after the system turns unsatisfiable.
     """
     solver = GF2Solver()
     # keyed by identity: the formula keeps every relation alive, and
     # same-named relations may differ
     cache: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
-    mask = solver.mask
-    users = solver._users
+    add_checks = solver.add_checks
     for rel, vs in formula.constraints:
         checks = cache.get(id(rel))
         if checks is None:
-            found = affine_parity_checks(rel)
-            if found is None:
+            checks = cache[id(rel)] = affine_parity_checks(rel)
+            if checks is None:
                 return None
-            checks = cache[id(rel)] = found
-        if solver.unsat:
-            break
-        for coords, parity in checks:
-            expr = parity
-            unseen: list[str] | None = None
-            for j in coords:
-                v = vs[j]
-                m = mask.get(v)
-                if m is not None:
-                    expr ^= m
-                elif unseen is None:
-                    unseen = [v]
-                elif v in unseen:
-                    unseen.remove(v)
-                else:
-                    unseen.append(v)
-            if unseen:
-                pivot = unseen.pop()
-                for v in unseen:
-                    expr ^= 1 << solver._new_slot(v)
-                mask[pivot] = expr
-                bits = expr & ~1
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    users[low.bit_length() - 1].add(pivot)
-            elif expr == 0:
-                pass
-            elif expr == 1:
-                solver.unsat = True
-                break
-            else:
-                solver._retire(expr)
+        add_checks(vs, checks)
     return solver
 
 

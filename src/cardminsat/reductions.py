@@ -16,7 +16,7 @@ from typing import Callable
 
 from .coclones import CoCloneId, weak_base
 from .errors import PreconditionError
-from .formulas import Assignment, CmsStarInstance, Constraint, Formula, require_query
+from .formulas import Assignment, CmsStarInstance, Constraint, Formula, fresh_prefix, require_query
 from .gauss import gauss_solve
 from .relations import Relation, build_named_relation
 
@@ -78,13 +78,6 @@ def restrict_model(red: ReductionOutput, model: Assignment) -> Assignment:
     return model.restrict(red.source.universe)
 
 
-def _fresh_prefix(universe: tuple[str, ...]) -> str:
-    prefix = "_"
-    while any(v.startswith(prefix) for v in universe):
-        prefix += "_"
-    return prefix
-
-
 def _require_fragment(formula: Formula, allowed: tuple[Relation, ...], what: str) -> None:
     verdicts: dict[str, bool] = {}
     for rel, _ in formula.constraints:
@@ -108,7 +101,7 @@ def reduce_or2_to_nae3(formula: Formula, query: str) -> ReductionOutput:
         raise PreconditionError("the clause-to-NAE rewriting needs a non-empty formula")
     n = formula.num_vars
     big_n = n + 1
-    pre = _fresh_prefix(formula.universe)
+    pre = fresh_prefix(formula.universe)
     f, t = pre + "f", pre + "t"
     boosts = tuple(f"{pre}f{j}" for j in range(1, big_n + 1))
     cons = [Constraint(_NAE3, (a, b, f)) for _, (a, b) in formula.constraints]
@@ -142,7 +135,7 @@ def reduce_nae3_to_xor3_star(formula: Formula, query: str) -> ReductionOutput:
     n = formula.num_vars
     big_n = n + 2
     bound = (m + 1) * big_n - 1
-    pre = _fresh_prefix(formula.universe)
+    pre = fresh_prefix(formula.universe)
     t = pre + "t"
     cons = [Constraint(_XOR3, (t, t, t))]
     fresh: list[str] = [t]
@@ -184,7 +177,7 @@ def reduce_xor3_star_to_xor4(instance: CmsStarInstance) -> ReductionOutput:
         raise PreconditionError("the bound-absorbing rewriting needs a non-empty formula")
     if k < 1:
         raise PreconditionError("bound must be at least 1 so the sentinel model exists")
-    pre = _fresh_prefix(formula.universe)
+    pre = fresh_prefix(formula.universe)
     alphas = tuple(f"{pre}a{j}" for j in range(1, k + 1))
     cons = [Constraint(_XOR4, (x, y, z, aj))
             for _, (x, y, z) in formula.constraints for aj in alphas]
@@ -202,7 +195,7 @@ def reduce_xor4_to_xor3_xor2(formula: Formula, query: str) -> ReductionOutput:
     the two halves take complementary values, contributing weight 1 each."""
     require_query(formula, query)
     _require_fragment(formula, (_XOR4,), "4-ary-parity")
-    pre = _fresh_prefix(formula.universe)
+    pre = fresh_prefix(formula.universe)
     cons: list[Constraint] = []
     fresh: list[str] = []
     halves: list[tuple[str, str, tuple[str, ...]]] = []
@@ -236,7 +229,7 @@ def reduce_xor3xor2_to_xor3(formula: Formula, query: str) -> ReductionOutput:
     require_query(formula, query)
     _require_fragment(formula, (_XOR3, _XOR2), "parity")
     sat, _ = gauss_solve([(vs, 1) for _, vs in formula.constraints])
-    pre = _fresh_prefix(formula.universe)
+    pre = fresh_prefix(formula.universe)
     if not sat:
         y = pre + "y"
         target = Formula.of([Constraint(_XOR3, (y, query, query))], (query, y))
@@ -302,7 +295,7 @@ def reduce_to_weakbase(c: CoCloneId, formula: Formula, query: str) -> ReductionO
 
 
 def _wb_ii2(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
-    pre = _fresh_prefix(formula.universe)
+    pre = fresh_prefix(formula.universe)
     f, t = pre + "f", pre + "t"
     fill = _fill_map(rel, {6: 0, 7: 1}, (4, 5), (0, 1, 2, 3))
     cons: list[Constraint] = []
@@ -335,7 +328,7 @@ def _wb_ii2(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reduct
 
 
 def _wb_ii1(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
-    pre = _fresh_prefix(formula.universe)
+    pre = fresh_prefix(formula.universe)
     n, p = formula.num_vars, formula.num_constraints
     big_n = n + p + 1
     f, t = pre + "f", pre + "t"
@@ -371,7 +364,7 @@ def _wb_ii1(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reduct
 
 
 def _wb_in2(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
-    pre = _fresh_prefix(formula.universe)
+    pre = fresh_prefix(formula.universe)
     n, p = formula.num_vars, formula.num_constraints
     big_n = n + p + 1
     f, t = pre + "f", pre + "t"
@@ -410,7 +403,7 @@ def _wb_in2(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reduct
 
 
 def _wb_il2(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
-    pre = _fresh_prefix(formula.universe)
+    pre = fresh_prefix(formula.universe)
     f, t = pre + "f", pre + "t"
     cons: list[Constraint] = []
     fresh: list[str] = []
@@ -442,7 +435,7 @@ def _wb_il2(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reduct
 
 
 def _wb_il3(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
-    pre = _fresh_prefix(formula.universe)
+    pre = fresh_prefix(formula.universe)
     n, p = formula.num_vars, formula.num_constraints
     big_n = n + p + 1
     f, t = pre + "f", pre + "t"
@@ -480,7 +473,7 @@ def _wb_il3(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reduct
 
 
 def _wb_il1(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
-    pre = _fresh_prefix(formula.universe)
+    pre = fresh_prefix(formula.universe)
     t = pre + "t"
     cons = [Constraint(rel, vs + (t,)) for _, vs in formula.constraints]
     target = Formula.of(cons, formula.universe + (t,), validate=False)
@@ -490,7 +483,7 @@ def _wb_il1(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reduct
 
 def _wb_iv(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
     # IV2 and IV1 share the layout R(t, x1, x2, f, t); only the base differs.
-    pre = _fresh_prefix(formula.universe)
+    pre = fresh_prefix(formula.universe)
     f, t = pre + "f", pre + "t"
     cons = [Constraint(rel, (t, x1, x2, f, t)) for _, (x1, x2) in formula.constraints]
     target = Formula.of(cons, formula.universe + (f, t), validate=False)
@@ -501,7 +494,7 @@ def _wb_iv(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reducti
 def _wb_is(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
     assert c.width is not None
     k = c.width
-    pre = _fresh_prefix(formula.universe)
+    pre = fresh_prefix(formula.universe)
     f, t = pre + "f", pre + "t"
     tails = {"IS0": (t,), "IS01": (f, t), "IS02": (f, t), "IS00": (f, f, t)}[c.tag]
     cons = [Constraint(rel, (x1,) + (x2,) * (k - 1) + tails)

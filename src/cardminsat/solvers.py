@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import search
 from .bruteforce import cms_bruteforce
-from .classify import AND2, closed_under, saturated_models
-from .coclones import Bucket, classify_cms
+from .classify import AND2, closed_under
+from .coclones import Bucket, cms_bucket
 from .errors import PreconditionError
 from .formulas import (Assignment, CmsAnswer, Formula, IN_MIN_MODEL, QUERY_FALSE,
                        UNSATISFIABLE, require_query)
@@ -73,18 +72,6 @@ def solve_horn(formula: Formula, query: str) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
-def _w2a_compile(rel: Relation) -> tuple[tuple, ...]:
-    """Unit and two-variable parity equations over coordinates that define
-    the relation exactly: its parity checks, which have width <= 2 once the
-    relation is width-2-affine (the empty relation gives x=0 and x=1)."""
-    if not (saturated_models(rel, ("T", "F", "eq", "neq")) == rel.table()).all():
-        raise PreconditionError(
-            f"relation {rel.name} is not width-2-affine; refusing to run the parity engine")
-    return tuple(("unit", coords[0], parity) if len(coords) == 1 else ("pair", *coords, parity)
-                 for coords, parity in affine_parity_checks(rel))
-
-
 class _ParityDSU:
     """Union-find with the parity of each variable to its root; union by
     size and path compression keep every find iterative and short."""
@@ -133,21 +120,26 @@ class _ParityDSU:
 def solve_width2affine(formula: Formula, query: str) -> SolveReport:
     """Exact engine for formulas over width-2-affine relations.
 
-    Compiles every constraint to unit and two-variable parity equations,
-    groups variables into parity components, and picks the lighter side per
-    unforced component (both on ties).
+    A relation is width-2-affine exactly when its parity checks all have
+    width <= 2 (the empty relation gives x=0 and x=1).  Every constraint
+    joins its unit and two-variable checks into parity components; the
+    engine picks the lighter side per unforced component (both on ties).
     """
     require_query(formula, query)
-    compiled = {rel: _w2a_compile(rel) for rel in formula.relations()}
+    checks: dict[Relation, tuple | None] = {}
+    for rel in formula.relations():
+        found = checks[rel] = affine_parity_checks(rel)
+        if found is None or any(len(coords) > 2 for coords, _ in found):
+            raise PreconditionError(
+                f"relation {rel.name} is not width-2-affine; refusing to run the parity engine")
     dsu = _ParityDSU()
     unsat = False
     for rel, vs in formula.constraints:
-        for eq in compiled[rel]:
-            if eq[0] == "unit":
-                _, i, a = eq
-                dsu.union(vs[i], dsu.ZERO, a)
+        for coords, parity in checks[rel]:
+            if len(coords) == 1:
+                dsu.union(vs[coords[0]], dsu.ZERO, parity)
             else:
-                _, i, j, parity = eq
+                i, j = coords
                 if vs[i] == vs[j]:
                     if parity == 1:
                         unsat = True
@@ -268,13 +260,13 @@ def dispatch(language: ConstraintLanguage, formula: Formula, query: str) -> Solv
     for rel in formula.relations():
         if rel.name not in language or not language.get(rel.name).same_tuples(rel):
             raise PreconditionError(f"formula uses relation {rel.name!r} outside the language")
-    verdict = classify_cms(language)
-    if verdict.bucket is Bucket.TRIVIAL_0VALID:
+    bucket = cms_bucket(language)
+    if bucket is Bucket.TRIVIAL_0VALID:
         # 0-valid language: the all-zero assignment is the unique minimum model.
         return SolveReport(CmsAnswer(False, 0, None, QUERY_FALSE), Engine.TRIVIAL)
-    if verdict.bucket is Bucket.POLY_HORN:
+    if bucket is Bucket.POLY_HORN:
         return solve_horn(formula, query)
-    if verdict.bucket is Bucket.POLY_WIDTH2_AFFINE:
+    if bucket is Bucket.POLY_WIDTH2_AFFINE:
         return solve_width2affine(formula, query)
     return solve_generic(formula, query)
 

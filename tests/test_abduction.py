@@ -1,12 +1,14 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from cardminsat import (CLOSED_WORLD, Formula, GuardError, NoSolutionError, PAP, POSITIVE_UNITS,
                         ParseError, PreconditionError, XorClause, cms_bruteforce, constraint,
-                        enumerate_models, is_solution, parse_pap, reduce_cms_xor3_to_relevance,
-                        relevance_bruteforce, render_pap)
+                        enumerate_models, gauss_solve, is_solution, parse_pap,
+                        reduce_cms_xor3_to_relevance, relevance_bruteforce, render_pap)
+from cardminsat.abduction import VAR_GUARD
+from cardminsat.cli import run
 
 from helpers import XOR3, random_clause_formula
 
@@ -70,11 +72,54 @@ def test_undeclared_names_rejected():
         PAP(("x",), (), (), (XorClause(("z",), 0),))
 
 
-def test_variable_guard():
-    vars = tuple(f"v{i}" for i in range(21))
-    pap = PAP(vars, vars[:2], (), ())
+def _entailed_by_enumeration(pap, chosen, semantics):
+    """Reference: consistency and entailment over every assignment."""
+    units = {h: 1 for h in chosen}
+    if semantics == CLOSED_WORLD:
+        units.update({h: 0 for h in pap.hypotheses if h not in chosen})
+    models = []
+    for bits in product((0, 1), repeat=len(pap.variables)):
+        values = dict(zip(pap.variables, bits))
+        if all(values[v] == b for v, b in units.items()) and \
+                all(sum(values[x] for x in c.vars) % 2 == c.parity for c in pap.theory):
+            models.append(values)
+    return bool(models) and all(m[g] == 1 for m in models for g in pap.manifestations)
+
+
+def test_is_solution_matches_enumeration():
+    rng = random.Random(42)
+    for _ in range(120):
+        n = rng.randint(1, 7)
+        vars = tuple(f"v{i}" for i in range(n))
+        # clauses may repeat a variable; some manifestations occur in no clause
+        theory = tuple(XorClause(tuple(rng.choice(vars) for _ in range(rng.randint(1, 4))),
+                                 rng.randint(0, 1)) for _ in range(rng.randint(0, 4)))
+        if not gauss_solve([(c.vars, c.parity) for c in theory])[0]:
+            continue
+        hyps = tuple(rng.sample(vars, rng.randint(0, n)))
+        mans = tuple(rng.sample(vars, rng.randint(0, min(n, 3))))
+        pap = PAP(vars, hyps, mans, theory)
+        for size in range(len(hyps) + 1):
+            for chosen in combinations(hyps, size):
+                for semantics in (CLOSED_WORLD, POSITIVE_UNITS):
+                    assert is_solution(pap, chosen, semantics) == \
+                        _entailed_by_enumeration(pap, chosen, semantics), (pap, chosen, semantics)
+
+
+def test_hypothesis_guard(tmp_path, capsys):
+    # many variables, few hypotheses: the subset search is small, so it answers
+    vars = tuple(f"v{i}" for i in range(30))
+    theory = tuple(XorClause((vars[i], vars[i + 1]), 0) for i in range(29))
+    pap = PAP(vars, vars[:3], (vars[-1],), theory)
+    assert relevance_bruteforce(pap, "v0") and relevance_bruteforce(pap, "v2")
+    many = PAP(vars, vars[:VAR_GUARD + 1], (), ())
     with pytest.raises(GuardError):
-        is_solution(pap, set())
+        relevance_bruteforce(many, "v0")
+    (tmp_path / "few.pap").write_text(render_pap(pap))
+    (tmp_path / "many.pap").write_text(render_pap(many))
+    assert run(["abduce", str(tmp_path / "few.pap"), "--hyp", "v0"]) == 0
+    assert "relevant=yes" in capsys.readouterr().out
+    assert run(["abduce", str(tmp_path / "many.pap"), "--hyp", "v0"]) == 3
 
 
 def test_solutions_coincide_with_models():

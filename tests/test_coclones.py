@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from cardminsat import (Bucket, ConstraintLanguage, CoCloneId, all_labels, bucket_for_coclone,
-                        build_named_relation, classify_cms, coclone_leq, format_verdict,
-                        identify_coclone, language_in_coclone, relation_in_coclone, weak_base)
+                        build_named_relation, classify_cms, cms_bucket, coclone_leq,
+                        format_verdict, identify_coclone, language_in_coclone, load_formula_file,
+                        load_language, relation_in_coclone, weak_base)
 
 from helpers import EQ, IMPL, NAE3, NEQ, OR2, T, XOR3
 
@@ -149,3 +152,13 @@ def test_buckets_match_lattice_intervals():
         else:
             expected = Bucket.TRIVIAL_0VALID
         assert bucket_for_coclone(c) is expected, str(c)
+
+
+def test_bucket_alone_matches_full_classification():
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    languages = [load_language(p) for p in sorted((corpus / "relations").glob("*.rel"))]
+    languages += [load_formula_file(p).language
+                  for p in sorted((corpus / "formulas").glob("*.cms"))]
+    languages += [lang(weak_base(c)) for c in all_labels()]
+    for language in languages:
+        assert cms_bucket(language) is classify_cms(language).bucket

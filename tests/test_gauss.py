@@ -3,7 +3,7 @@ import random
 from cardminsat import (Formula, GF2Solver, affine_parity_checks, cms_affine, cms_bruteforce,
                         constraint, enumerate_models, formula_system, gauss_solve, is_affine)
 
-from helpers import EQ, F, IMPL, NAE3, T, XOR2, XOR3, XOR4, random_mixed_formula
+from helpers import EQ, F, IMPL, NAE3, OR2, T, XOR2, XOR3, XOR4, random_mixed_formula
 
 
 def test_gauss_triangle_unsat():
@@ -98,3 +98,11 @@ def test_cms_affine_rejects_non_affine():
     f = Formula.of([constraint(NAE3, "x", "y", "z")])
     assert cms_affine(f, "x") is None
     assert formula_system(f) is None
+
+
+def test_non_affine_relation_after_a_contradiction():
+    # the system is unsatisfiable before OR2 is reached; OR2 still rejects it
+    f = Formula.of([constraint(T, "x"), constraint(F, "x"), constraint(T, "y"),
+                    constraint(OR2, "x", "y")])
+    assert formula_system(f) is None
+    assert cms_affine(f, "x") is None

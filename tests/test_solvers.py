@@ -1,11 +1,13 @@
 import random
+from itertools import product
 
 import pytest
 
 from cardminsat import (ConstraintLanguage, Engine, Formula, PreconditionError, Relation,
-                        cms_affine, cms_bruteforce, constraint, dispatch, enumerate_models,
-                        oracle_budget, solve_brute, solve_generic, solve_horn,
+                        affine_parity_checks, cms_affine, cms_bruteforce, constraint, dispatch,
+                        enumerate_models, oracle_budget, solve_brute, solve_generic, solve_horn,
                         solve_width2affine)
+from cardminsat.classify import relation_properties, saturated_models
 
 from helpers import (EQ, F, IMPL, NAE3, NAND2, NEQ, OR2, T, XOR3, random_mixed_formula)
 
@@ -190,3 +192,30 @@ def test_same_named_relations_are_told_apart():
     assert cms_affine(f, "x") == (False, None, False)
     with pytest.raises(PreconditionError):
         dispatch(ConstraintLanguage.of(r_neq), f, "x")
+
+
+def test_width2_affine_characterizations_agree():
+    # clause saturation, the classifier's affine-and-bijunctive test and the
+    # engine's "parity checks of width <= 2" all name the same relations
+    rng = random.Random(24)
+    rels = [Relation("r", k, rows) for k in (1, 2, 3) for rows in range(1 << (1 << k))]
+    for k in (4, 5, 6):
+        for _ in range(40):
+            eqs = [(rng.sample(range(k), rng.randint(1, 2)), rng.randint(0, 1))
+                   for _ in range(rng.randint(0, k))]
+            rows = sum(1 << idx for idx, t in enumerate(product((0, 1), repeat=k))
+                       if all(sum(t[i] for i in c) % 2 == p for c, p in eqs))
+            rels += [Relation("r", k, rows), Relation("r", k, rows ^ (1 << rng.randrange(1 << k))),
+                     Relation("r", k, rng.getrandbits(1 << k))]
+    for rel in rels:
+        props = relation_properties(rel)
+        by_saturation = bool((saturated_models(rel, ("T", "F", "eq", "neq")) == rel.table()).all())
+        checks = affine_parity_checks(rel)
+        by_checks = checks is not None and all(len(coords) <= 2 for coords, _ in checks)
+        assert by_saturation == by_checks == (props["affine"] and props["bij"]), rel
+        f = Formula.of([constraint(rel, *(f"x{i}" for i in range(rel.arity)))])
+        if by_checks:
+            assert solve_width2affine(f, "x0").answer.key() == cms_bruteforce(f, "x0").key()
+        else:
+            with pytest.raises(PreconditionError):
+                solve_width2affine(f, "x0")
