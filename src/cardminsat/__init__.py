@@ -9,7 +9,7 @@ and minimal weak bases underpinning the classification.
 from .abduction import (CLOSED_WORLD, PAP, POSITIVE_UNITS, XorClause, is_solution, parse_pap,
                         reduce_cms_xor3_to_relevance, relevance_bruteforce, render_pap)
 from .bruteforce import (cms_bruteforce, cms_star_bruteforce, enumerate_models, frozen_vars)
-from .classify import (AND2, BoolOp, MAJ3, NOT1, OR2, PropertyFingerprint, XOR3, closed_under,
+from .classify import (AND2, BoolOp, MAJ3, NOT1, OR2, PropertyFingerprint, closed_under,
                        conjunction_definability, fictitious_coordinates, fingerprint,
                        is_irredundant, pp_membership)
 from .coclones import (Bucket, ClassificationVerdict, CoCloneId, all_labels, bucket_for_coclone,

@@ -1,13 +1,14 @@
-"""Closure properties of relations: polymorphism tests, property
-fingerprints, clause saturation, conjunction definability and the exact
-pp-membership test for small relations."""
+"""Closure properties of relations: polymorphism tests, the properties and
+least clause widths read off membership tables, property fingerprints,
+clause saturation, conjunction definability and the exact pp-membership
+test for small relations."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -32,12 +33,6 @@ class BoolOp:
     arity: int
     table: int
 
-    def apply(self, args: Sequence[int]) -> int:
-        idx = 0
-        for a in args:
-            idx = (idx << 1) | (a & 1)
-        return (self.table >> idx) & 1
-
 
 def op_from_function(name: str, arity: int, fn) -> BoolOp:
     table = 0
@@ -52,7 +47,6 @@ AND2 = op_from_function("and", 2, lambda x, y: x & y)
 OR2 = op_from_function("or", 2, lambda x, y: x | y)
 NOT1 = op_from_function("not", 1, lambda x: 1 - x)
 MAJ3 = op_from_function("maj", 3, lambda x, y, z: (x + y + z) >= 2)
-XOR3 = op_from_function("xor3", 3, lambda x, y, z: (x + y + z) & 1)
 
 
 def closed_under(rel: Relation, op: BoolOp, guard: int = CLOSURE_GUARD) -> bool:
@@ -143,9 +137,48 @@ def saturated_models(rel: Relation, kinds: Iterable[str], width: int | None = No
     return acc
 
 
-def clause_definable(rel: Relation, kinds: Iterable[str], width: int | None = None) -> bool:
-    """Is ``rel`` exactly the models of its implied template constraints?"""
-    return bool((saturated_models(rel, kinds, width) == rel.table()).all())
+def _subset_fold(values: np.ndarray, op) -> np.ndarray:
+    """Fold ``op`` over subsets in place: afterwards values[x] combines the
+    original values[s] of every index s whose bits are a subset of x's."""
+    for b in range(len(values).bit_length() - 1):
+        pairs = values.reshape(-1, 2, 1 << b)
+        op(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    return values
+
+
+def _join_closed(table: np.ndarray) -> bool:
+    """Is the relation with this membership table closed under OR?  It is
+    iff the join of the members below each index, where there is one, is a
+    member: one subset pass computes all the joins."""
+    size = len(table)
+    joins = _subset_fold(np.where(table, np.arange(size) | size, 0), np.bitwise_or)
+    return bool(table[joins[joins >= size] - size].all())
+
+
+@lru_cache(maxsize=4096)
+def least_width(rel: Relation, kinds: tuple[str, ...]) -> int | None:
+    """Least width w >= 1 with ``saturated_models(rel, kinds, w)`` equal to
+    the table of ``rel``, or None when no width defines ``rel``.
+
+    ``kinds`` holds "pos" or "neg" besides fixed-width templates.  A
+    positive clause on the coordinate set S removes the points that are 0
+    on all of S, and is implied iff no member is.  So the answer is the
+    widest of the narrowest implied clauses that the points left by the
+    other templates need.  Negative clauses are positive ones on the
+    reversed (complemented) table.
+    """
+    k = rel.arity
+    clause = "pos" if "pos" in kinds else "neg"
+    table = rel.table()
+    left = saturated_models(rel, [t for t in kinds if t != clause]) & ~table
+    if clause == "neg":
+        table, left = table[::-1], left[::-1]
+    # the clause on S is implied iff no member lies inside the complement of S
+    inside = _subset_fold(table.copy(), np.logical_or)[::-1]
+    width = np.where(inside, k + 1, np.bitwise_count(np.arange(1 << k)))
+    width[0] = k + 1  # the empty clause is not a template
+    need = int(_subset_fold(width, np.minimum)[::-1][left].max(initial=1))
+    return need if need <= k else None
 
 
 # ---------------------------------------------------------------------------
@@ -187,26 +220,24 @@ class PropertyFingerprint:
 
 @lru_cache(maxsize=2048)
 def relation_properties(rel: Relation) -> dict[str, bool]:
-    """The seven basic closure/validity properties of one relation."""
+    """The seven basic closure/validity properties of one relation, read off
+    its membership table (index complement = table reversal)."""
+    table = rel.table()
     return {
         "zero": rel.zero_valid,
         "one": rel.one_valid,
-        "comp": closed_under(rel, NOT1),
-        "horn": closed_under(rel, AND2),
-        "dual": closed_under(rel, OR2),
-        "bij": closed_under(rel, MAJ3),
+        "comp": bool((table == table[::-1]).all()),
+        "horn": _join_closed(table[::-1]),
+        "dual": _join_closed(table),
+        "bij": bool((saturated_models(rel, ("impl", "pos", "neg"), 2) == table).all()),
         "affine": is_affine(rel),
     }
 
 
-def is_width_positive(rel: Relation, k: int) -> bool:
-    """Definable by equalities, F units, implications and positive clauses
-    of width <= k (the widest 0-side bounded-width class)."""
-    return clause_definable(rel, ("eq", "F", "impl", "pos"), k)
-
-
-def is_width_negative(rel: Relation, k: int) -> bool:
-    return clause_definable(rel, ("eq", "T", "impl", "neg"), k)
+def _width_flags(language: ConstraintLanguage, kinds: tuple[str, ...]) -> tuple[tuple[int, bool], ...]:
+    least = [least_width(r, kinds) for r in language]
+    return tuple((k, all(w is not None and w <= k for w in least))
+                 for k in range(2, language.max_arity + 1))
 
 
 def fingerprint(language: ConstraintLanguage) -> PropertyFingerprint:
@@ -218,7 +249,6 @@ def fingerprint(language: ConstraintLanguage) -> PropertyFingerprint:
 
     affine = every("affine")
     bij = every("bij")
-    widths = range(2, language.max_arity + 1)
     return PropertyFingerprint(
         zero_valid=every("zero"),
         one_valid=every("one"),
@@ -228,8 +258,8 @@ def fingerprint(language: ConstraintLanguage) -> PropertyFingerprint:
         bijunctive=bij,
         affine=affine,
         width2_affine=affine and bij,
-        pos_width=tuple((k, all(is_width_positive(r, k) for r in language)) for k in widths),
-        neg_width=tuple((k, all(is_width_negative(r, k) for r in language)) for k in widths),
+        pos_width=_width_flags(language, ("eq", "F", "impl", "pos")),
+        neg_width=_width_flags(language, ("eq", "T", "impl", "neg")),
     )
 
 

@@ -3,7 +3,8 @@ registry.
 
 Membership of a relation in a labeled co-clone is decided either by closure
 properties (Horn = AND-closed, affine = XOR-definable, ...) or, for the
-bounded-width IS chains, by clause saturation.  The containment order among
+bounded-width IS chains, by the least clause width of the chain's template,
+all read off the relation's membership table.  The containment order among
 the labels is hardcoded static data; the test suite revalidates it against
 the membership tests via the weak bases.
 """
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .classify import PropertyFingerprint, clause_definable, fingerprint, relation_properties
+from .classify import PropertyFingerprint, fingerprint, least_width, relation_properties
 from .errors import CardMinSatError, GuardError
-from .relations import ConstraintLanguage, Relation, build_named_relation
+from .relations import MAX_ARITY, ConstraintLanguage, Relation, build_named_relation
 
 NON_IS_TAGS = (
     "IBF", "IR0", "IR1", "IR2",
@@ -96,7 +97,8 @@ def _is_member(rel: Relation, tag: str, width: int | None) -> bool:
     if rel.rows == 0:
         return True  # the empty relation lies in every co-clone
     if tag in IS_TEMPLATES:
-        return clause_definable(rel, IS_TEMPLATES[tag], width)
+        least = least_width(rel, IS_TEMPLATES[tag])
+        return least is not None and least <= width
     props = relation_properties(rel)
     return all(props[p] for p in REQUIRED_PROPS[tag])
 
@@ -211,7 +213,7 @@ def bucket_for_coclone(c: CoCloneId) -> Bucket:
 class ClassificationVerdict:
     bucket: Bucket
     fingerprint: PropertyFingerprint
-    coclone: CoCloneId | None
+    coclone: CoCloneId
 
 
 def cms_bucket(language: ConstraintLanguage) -> Bucket:
@@ -238,14 +240,9 @@ def cms_bucket(language: ConstraintLanguage) -> Bucket:
 
 def classify_cms(language: ConstraintLanguage) -> ClassificationVerdict:
     """The bucket together with the full property fingerprint and the
-    co-clone of the language (None when identification hits a guard)."""
-    bucket = cms_bucket(language)
-    fp = fingerprint(language)
-    try:
-        cc = identify_coclone(language)
-    except GuardError:
-        cc = None
-    return ClassificationVerdict(bucket, fp, cc)
+    co-clone of the language."""
+    return ClassificationVerdict(cms_bucket(language), fingerprint(language),
+                                 identify_coclone(language))
 
 
 def identify_coclone(language: ConstraintLanguage) -> CoCloneId:
@@ -256,13 +253,11 @@ def identify_coclone(language: ConstraintLanguage) -> CoCloneId:
         c = CoCloneId(tag)
         if language_in_coclone(language, c):
             members.append(c)
-    max_width = max(2, language.max_arity)
     for tag in IS_TAGS:
-        for k in range(2, max_width + 1):
-            c = CoCloneId(tag, k)
-            if language_in_coclone(language, c):
-                members.append(c)
-                break  # wider instances of the same family are supersets
+        # the empty relation lies in every co-clone
+        least = [least_width(r, IS_TEMPLATES[tag]) for r in language if r.rows]
+        if None not in least:
+            members.append(CoCloneId(tag, max([2, *least])))
     minima = [m for m in members if all(coclone_leq(m, other) for other in members)]
     if len(minima) != 1:
         raise CardMinSatError(
@@ -362,42 +357,22 @@ def _weak_base_is(tag: str, k: int) -> Relation:
     def nand(t: tuple[int, ...]) -> bool:
         return not all(t[:k])
 
-    name = f"R_{tag}_{k}"
-    if tag == "IS0":
-        return Relation.from_tuples(name, k + 1,
-                                    [t for t in product((0, 1), repeat=k + 1)
-                                     if orr(t) and t[k] == 1])
-    if tag == "IS02":
-        return Relation.from_tuples(name, k + 2,
-                                    [t for t in product((0, 1), repeat=k + 2)
-                                     if orr(t) and t[k] == 0 and t[k + 1] == 1])
-    if tag == "IS01":
-        return Relation.from_tuples(name, k + 2,
-                                    [t for t in product((0, 1), repeat=k + 2)
-                                     if orr(t) and (not t[k] or all(t[:k])) and t[k + 1] == 1])
-    if tag == "IS00":
-        return Relation.from_tuples(name, k + 3,
-                                    [t for t in product((0, 1), repeat=k + 3)
-                                     if orr(t) and (not t[k] or all(t[:k]))
-                                     and t[k + 1] == 0 and t[k + 2] == 1])
-    if tag == "IS1":
-        return Relation.from_tuples(name, k + 1,
-                                    [t for t in product((0, 1), repeat=k + 1)
-                                     if nand(t) and t[k] == 0])
-    if tag == "IS12":
-        return Relation.from_tuples(name, k + 2,
-                                    [t for t in product((0, 1), repeat=k + 2)
-                                     if nand(t) and t[k] == 0 and t[k + 1] == 1])
-    if tag == "IS11":
-        return Relation.from_tuples(name, k + 2,
-                                    [t for t in product((0, 1), repeat=k + 2)
-                                     if nand(t) and all(x <= t[k] for x in t[:k]) and t[k + 1] == 0])
-    if tag == "IS10":
-        return Relation.from_tuples(name, k + 3,
-                                    [t for t in product((0, 1), repeat=k + 3)
-                                     if nand(t) and all(x <= t[k] for x in t[:k])
-                                     and t[k + 1] == 0 and t[k + 2] == 1])
-    raise AssertionError(tag)
+    # extra coordinates beyond the k clause ones, and the membership test
+    extra, member = {
+        "IS0": (1, lambda t: orr(t) and t[k] == 1),
+        "IS02": (2, lambda t: orr(t) and t[k] == 0 and t[k + 1] == 1),
+        "IS01": (2, lambda t: orr(t) and (not t[k] or all(t[:k])) and t[k + 1] == 1),
+        "IS00": (3, lambda t: orr(t) and (not t[k] or all(t[:k])) and t[k + 1] == 0 and t[k + 2] == 1),
+        "IS1": (1, lambda t: nand(t) and t[k] == 0),
+        "IS12": (2, lambda t: nand(t) and t[k] == 0 and t[k + 1] == 1),
+        "IS11": (2, lambda t: nand(t) and all(x <= t[k] for x in t[:k]) and t[k + 1] == 0),
+        "IS10": (3, lambda t: nand(t) and all(x <= t[k] for x in t[:k])
+                 and t[k + 1] == 0 and t[k + 2] == 1),
+    }[tag]
+    if k + extra > MAX_ARITY:
+        raise GuardError(f"{CoCloneId(tag, k)} weak base would have arity {k + extra} > {MAX_ARITY}")
+    return Relation.from_tuples(f"R_{tag}_{k}", k + extra,
+                                filter(member, product((0, 1), repeat=k + extra)))
 
 
 @lru_cache(maxsize=None)
@@ -419,27 +394,21 @@ def all_labels(widths: tuple[int, ...] = (2, 3, 4)) -> list[CoCloneId]:
 # --- report --------------------------------------------------------------
 
 
-def format_verdict(verdict: ClassificationVerdict, witness=None) -> str:
+def format_verdict(verdict: ClassificationVerdict) -> str:
     """Structured text report with a machine-readable key=value trailer."""
-    from .fileio import render_formula_file, FormulaFile  # cycle-free at call time
-
     fp = verdict.fingerprint
     lines = ["classification report"]
     lines.append(f"  bucket: {verdict.bucket.value}")
-    lines.append(f"  co-clone: {verdict.coclone if verdict.coclone else 'unidentified'}")
+    lines.append(f"  co-clone: {verdict.coclone}")
     flags = fp.flags()
     lines.append("  properties: " + ", ".join(k for k, v in flags.items() if v))
     lines.append("")
     lines.append(f"bucket={verdict.bucket.value}")
-    lines.append(f"coclone={verdict.coclone if verdict.coclone else 'none'}")
+    lines.append(f"coclone={verdict.coclone}")
     for key, val in flags.items():
         lines.append(f"{key}={'true' if val else 'false'}")
     for k, v in fp.pos_width:
         lines.append(f"width_positive_{k}={'true' if v else 'false'}")
     for k, v in fp.neg_width:
         lines.append(f"width_negative_{k}={'true' if v else 'false'}")
-    text = "\n".join(lines) + "\n"
-    if witness is not None:
-        doc = FormulaFile(witness, ConstraintLanguage(tuple(witness.relations())), None, ())
-        text += "witness:\n" + render_formula_file(doc)
-    return text
+    return "\n".join(lines) + "\n"

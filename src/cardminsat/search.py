@@ -275,14 +275,24 @@ def propagate(formula: Formula) -> list[int] | None:
 
 
 def frozen_by_probing(formula: Formula) -> dict[str, int]:
-    """Frozen variables computed with two satisfiability probes per variable."""
+    """Frozen variables, by probing each candidate against one base model.
+
+    Only variables in some constraint can be frozen.  A probe that finds a
+    model with the candidate flipped clears every candidate on which that
+    model differs from the base.
+    """
     base = find_model(formula)
     if base is None:
         raise PreconditionError("formula is unsatisfiable; every variable is vacuously frozen")
-    out: dict[str, int] = {}
     values = base.as_dict()
+    candidates = set(formula.occurring())
+    out: dict[str, int] = {}
     for v in formula.universe:
+        if v not in candidates:
+            continue
         flipped = find_model(formula, forced={v: 1 - values[v]})
         if flipped is None:
             out[v] = values[v]
+        else:
+            candidates.difference_update(u for u, b in flipped.as_dict().items() if b != values[u])
     return out

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from . import search
 from .bruteforce import cms_bruteforce
-from .classify import AND2, closed_under
+from .classify import relation_properties
 from .coclones import Bucket, cms_bucket
 from .errors import PreconditionError
 from .formulas import (Assignment, CmsAnswer, Formula, IN_MIN_MODEL, QUERY_FALSE,
@@ -54,7 +54,7 @@ def solve_horn(formula: Formula, query: str) -> SolveReport:
     """
     require_query(formula, query)
     for rel in formula.relations():
-        if not closed_under(rel, AND2):
+        if not relation_properties(rel)["horn"]:
             raise PreconditionError(f"relation {rel.name} is not Horn; refusing to run the Horn engine")
     forced = search.propagate(formula)
     if forced is None:

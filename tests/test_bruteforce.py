@@ -7,7 +7,8 @@ from cardminsat import (CmsStarInstance, Formula, GuardError, PreconditionError,
                         frozen_vars)
 from cardminsat.coclones import CoCloneId, weak_base
 
-from helpers import F, IMPL, NAE3, NEQ, OR2, T, XOR3, random_clause_formula
+from helpers import (F, IMPL, NAE3, NAND2, NEQ, OR2, T, XOR3, random_clause_formula,
+                     random_mixed_formula)
 
 
 def test_enumerate_or2_lexicographic():
@@ -129,6 +130,12 @@ def test_frozen_vars_probe_agrees_with_enumeration():
     rng = random.Random(7)
     for _ in range(25):
         f = random_clause_formula(rng, XOR3, 5, rng.randint(1, 4), distinct=False)
+        if not enumerate_models(f):
+            continue
+        assert frozen_vars(f, method="probe") == frozen_vars(f, method="enumerate")
+    # mixed clauses over a universe wider than the occurring variables
+    for _ in range(120):
+        f = random_mixed_formula(rng, (OR2, NAND2, NAE3, IMPL, T, F), 7, rng.randint(1, 7))
         if not enumerate_models(f):
             continue
         assert frozen_vars(f, method="probe") == frozen_vars(f, method="enumerate")

@@ -1,19 +1,65 @@
 import random
+from itertools import product
 
 import pytest
 
 from cardminsat import (AND2, ConstraintLanguage, GuardError, MAJ3, NOT1, OR2 as OR2_OP, Relation,
-                        XOR3 as XOR3_OP, build_named_relation, closed_under,
+                        build_named_relation, closed_under,
                         conjunction_definability, fictitious_coordinates, fingerprint,
                         is_irredundant, pp_membership)
-from cardminsat.classify import relation_properties
-from cardminsat.coclones import CoCloneId, weak_base
+from cardminsat.classify import least_width, op_from_function, relation_properties, saturated_models
+from cardminsat.coclones import IS_TEMPLATES, CoCloneId, weak_base
 
 from helpers import EQ, F, IMPL, NAE3, NEQ, OR2, T, XOR3
+
+XOR3_OP = op_from_function("xor3", 3, lambda x, y, z: (x + y + z) & 1)
 
 
 def lang(*rels):
     return ConstraintLanguage.of(*rels)
+
+
+def _closure(rows: set[int], op, m: int) -> set[int]:
+    while True:
+        grown = rows | {op(*args) for args in product(rows, repeat=m)}
+        if grown == rows:
+            return rows
+        rows = grown
+
+
+def _table_test_relations() -> list[Relation]:
+    """Every relation of arity <= 3, and seeded ones of arity 4-6: closures
+    of a few random tuples under AND, OR or majority, and random ones."""
+    rels = [Relation("r", k, rows) for k in (1, 2, 3) for rows in range(1 << (1 << k))]
+    rng = random.Random(66)
+    ops = [(lambda a, b: a & b, 2), (lambda a, b: a | b, 2),
+           (lambda a, b, c: (a & b) | (a & c) | (b & c), 3)]
+    for k in (4, 5, 6):
+        for op, m in ops:
+            for _ in range(12):
+                seed = {rng.randrange(1 << k) for _ in range(rng.randint(1, 5))}
+                rels.append(Relation("r", k, sum(1 << i for i in _closure(seed, op, m))))
+        rels += [Relation("r", k, rng.getrandbits(1 << k)) for _ in range(8)]
+    return rels
+
+
+def test_table_properties_match_the_closure_oracle():
+    for rel in _table_test_relations():
+        props = relation_properties(rel)
+        assert props["comp"] == closed_under(rel, NOT1), rel
+        assert props["horn"] == closed_under(rel, AND2), rel
+        assert props["dual"] == closed_under(rel, OR2_OP), rel
+        assert props["bij"] == closed_under(rel, MAJ3), rel
+
+
+def test_least_width_matches_saturation_at_every_width():
+    for rel in _table_test_relations():
+        table = rel.table()
+        for kinds in IS_TEMPLATES.values():
+            least = least_width(rel, kinds)
+            for w in range(1, rel.arity + 1):
+                defined = bool((saturated_models(rel, kinds, w) == table).all())
+                assert defined == (least is not None and least <= w), (rel, kinds, w)
 
 
 def test_closed_under_examples():

@@ -1,6 +1,6 @@
 import pytest
 
-from cardminsat import (ConstraintLanguage, render_language, render_pap,
+from cardminsat import (ConstraintLanguage, build_named_relation, render_language, render_pap,
                         reduce_cms_xor3_to_relevance, Formula, constraint)
 from cardminsat.cli import run
 
@@ -162,3 +162,27 @@ def test_conflicting_lang_imports_are_a_parse_error(tmp_path):
     (tmp_path / "b.rel").write_text("relation R 2\n11\n\n")
     (tmp_path / "f.cms").write_text("lang a.rel\nlang b.rel\nvar x y\nc R x y\nquery x\n")
     assert run(["solve", str(tmp_path / "f.cms")]) == 2
+
+
+def test_wide_clause_classifies_solves_and_verifies(tmp_path, capsys):
+    # OR8 has 255 tuples: classifying it used to need 255**3 closure checks
+    or8 = build_named_relation("OR", 8)
+    (tmp_path / "or8.rel").write_text(render_language(ConstraintLanguage.of(or8)))
+    xs = " ".join(f"x{i}" for i in range(8))
+    (tmp_path / "f.cms").write_text(f"lang or8.rel\nvar {xs}\nc OR8 {xs}\nquery x0\n")
+    assert run(["solve", str(tmp_path / "f.cms")]) == 0
+    assert "verdict=yes" in capsys.readouterr().out
+    assert run(["verify", str(tmp_path / "f.cms")]) == 0
+    assert "agree=true" in capsys.readouterr().out
+    assert run(["classify", str(tmp_path / "or8.rel")]) == 0
+    assert "coclone=IS^8_0" in capsys.readouterr().out
+
+
+def test_weak_base_wider_than_the_arity_limit_is_refused(or2_files, capsys):
+    # IS0 of width 20 has arity 21; it must be refused before any tuple is built
+    assert run(["weakbase", "IS0", "--width", "20"]) == 3
+    assert run(["reduce", str(or2_files / "f.cms"), "--target", "IS0", "--width", "20",
+                "--out", str(or2_files / "nope")]) == 3
+    assert "arity 21 > 16" in capsys.readouterr().err
+    assert run(["weakbase", "IS0", "--width", "15"]) == 0
+    assert "relation R_IS0_15 16" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from cardminsat import (Bucket, ConstraintLanguage, CoCloneId, all_labels, bucket_for_coclone,
                         build_named_relation, classify_cms, cms_bucket, coclone_leq,
                         format_verdict, identify_coclone, language_in_coclone, load_formula_file,
-                        load_language, relation_in_coclone, weak_base)
+                        load_language, Relation, relation_in_coclone, weak_base)
 
 from helpers import EQ, IMPL, NAE3, NEQ, OR2, T, XOR3
 
@@ -87,14 +88,6 @@ def test_classify_examples():
     assert "coclone=IS^2_0" in report
 
 
-def test_format_verdict_can_attach_a_witness_formula():
-    from cardminsat import conjunction_definability
-    witness = conjunction_definability(EQ, lang(IMPL))
-    report = format_verdict(classify_cms(lang(IMPL)), witness=witness)
-    assert "witness:" in report
-    assert "c IMPL x1 x2" in report and "c IMPL x2 x1" in report
-
-
 def test_identify_recovers_every_label_from_its_weak_base():
     for c in all_labels((2, 3, 4)):
         assert identify_coclone(lang(weak_base(c))) == c
@@ -162,3 +155,14 @@ def test_bucket_alone_matches_full_classification():
     languages += [lang(weak_base(c)) for c in all_labels()]
     for language in languages:
         assert cms_bucket(language) is classify_cms(language).bucket
+
+
+def test_classification_answers_at_the_arity_limit():
+    # arity 16, the largest the parser accepts; the time is not asserted
+    c = CoCloneId("IS0", 15)
+    verdict = classify_cms(lang(weak_base(c)))
+    assert verdict.coclone == c and verdict.bucket is Bucket.THETA2_COMPLETE
+    assert dict(verdict.fingerprint.pos_width) == {k: k >= 15 for k in range(2, 17)}
+    rows = random.Random(16).getrandbits(1 << 16) & ~1 & ~(1 << 0xFFFF)  # neither 0- nor 1-valid
+    dense = Relation("dense", 16, rows)
+    assert classify_cms(lang(dense)).coclone == CoCloneId("II2")
