@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import PreconditionError
@@ -170,8 +172,7 @@ def require_query(formula: Formula, query: str) -> None:
 
 
 def fresh_prefix(universe: Sequence[str]) -> str:
-    """The shortest run of underscores that starts no universe variable."""
-    prefix = "_"
-    while any(v.startswith(prefix) for v in universe):
-        prefix += "_"
-    return prefix
+    """The shortest run of underscores that starts no universe variable:
+    one more than the longest run of leading underscores."""
+    leading = map(sub, map(len, universe), map(len, map(str.lstrip, universe, repeat("_"))))
+    return "_" * (1 + max(leading, default=0))

@@ -14,6 +14,7 @@ redundant equations.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import GuardError
 from .formulas import Formula, require_query
-from .relations import Relation
+from .relations import Relation, set_bit_indices
 
 XorEquation = tuple[Sequence[str], int]
 
@@ -174,12 +175,10 @@ def _parity_checks(arity: int, rows: int) -> tuple[tuple[tuple[int, ...], int], 
     if rows == 0:
         # The empty relation is the contradictory system on the first coordinate.
         return (((0,), 0), ((0,), 1))
-    idxs = []
-    r = rows
-    while r:
-        low = r & -r
-        idxs.append(low.bit_length() - 1)
-        r ^= low
+    count = rows.bit_count()
+    if count & (count - 1):
+        return None  # an affine relation has a power-of-two number of tuples
+    idxs = set_bit_indices(rows).tolist()
     t0 = idxs[0]
     basis: dict[int, int] = {}
     for t in idxs[1:]:
@@ -191,7 +190,7 @@ def _parity_checks(arity: int, rows: int) -> tuple[tuple[tuple[int, ...], int], 
             else:
                 basis[p] = vec
                 break
-    if len(idxs) != 1 << len(basis):
+    if count != 1 << len(basis):
         return None
     # Reduce the span basis so each pivot occurs in exactly one vector.
     for p in sorted(basis, reverse=True):
@@ -226,18 +225,22 @@ def formula_system(formula: Formula) -> GF2Solver | None:
     """Load a formula whose relations are all affine; None otherwise.
 
     Every relation is checked, also after the system turns unsatisfiable.
+    Each relation's checks are folded narrowest first, so unit and
+    two-variable checks determine variables before a wider check would open
+    them as free slots that a later check has to retire again.
     """
     solver = GF2Solver()
     # keyed by identity: the formula keeps every relation alive, and
     # same-named relations may differ
-    cache: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
+    cache: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     add_checks = solver.add_checks
     for rel, vs in formula.constraints:
         checks = cache.get(id(rel))
         if checks is None:
-            checks = cache[id(rel)] = affine_parity_checks(rel)
-            if checks is None:
+            found = affine_parity_checks(rel)
+            if found is None:
                 return None
+            checks = cache[id(rel)] = sorted(found, key=lambda check: len(check[0]))
         add_checks(vs, checks)
     return solver
 
@@ -278,10 +281,8 @@ def cms_affine(formula: Formula, query: str,
     if dim > dim_guard:
         raise GuardError(f"solution space dimension {dim} exceeds guard {dim_guard}")
     dim_of_bit = {b: i for i, b in enumerate(free)}
-    masks: dict[int, int] = {}
-    for v in formula.universe:
-        m = solver.value_mask(v)
-        masks[m] = masks.get(m, 0) + 1
+    masks = Counter(map(solver.mask.get, formula.universe))
+    masks.pop(None, None)  # mentioned by no check: constant 0, no weight
     weights = _parity_vectors(masks, dim_of_bit, dim)
     qvec = _parity_vectors({solver.value_mask(query): 1}, dim_of_bit, dim).astype(bool)
     min_weight = int(weights.min())

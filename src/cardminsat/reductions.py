@@ -12,12 +12,12 @@ reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .coclones import CoCloneId, weak_base
 from .errors import PreconditionError
 from .formulas import Assignment, CmsStarInstance, Constraint, Formula, fresh_prefix, require_query
-from .gauss import gauss_solve
+from .gauss import formula_system
 from .relations import Relation, build_named_relation
 
 _OR2 = build_named_relation("OR", 2)
@@ -198,21 +198,18 @@ def reduce_xor4_to_xor3_xor2(formula: Formula, query: str) -> ReductionOutput:
     pre = fresh_prefix(formula.universe)
     cons: list[Constraint] = []
     fresh: list[str] = []
-    halves: list[tuple[str, str, tuple[str, ...]]] = []
     for i, (_, (x1, x2, x3, x4)) in enumerate(formula.constraints, start=1):
         y, z = f"{pre}y{i}", f"{pre}z{i}"
-        cons.append(Constraint(_XOR3, (x1, x2, y)))
-        cons.append(Constraint(_XOR3, (x3, x4, z)))
-        cons.append(Constraint(_XOR2, (y, z)))
-        fresh.extend((y, z))
-        halves.append((y, z, (x1, x2, x3, x4)))
+        cons += (Constraint(_XOR3, (x1, x2, y)), Constraint(_XOR3, (x3, x4, z)),
+                 Constraint(_XOR2, (y, z)))
+        fresh += (y, z)
     target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
 
     def lifter(values: dict[str, int]) -> dict[str, int]:
         ext = {}
-        for y, z, (x1, x2, x3, x4) in halves:
-            ext[y] = 1 ^ values[x1] ^ values[x2]
-            ext[z] = 1 ^ values[x3] ^ values[x4]
+        for i, (_, (x1, x2, x3, x4)) in enumerate(formula.constraints, start=1):
+            ext[f"{pre}y{i}"] = 1 ^ values[x1] ^ values[x2]
+            ext[f"{pre}z{i}"] = 1 ^ values[x3] ^ values[x4]
         return ext
 
     p = formula.num_constraints
@@ -228,9 +225,9 @@ def reduce_xor3xor2_to_xor3(formula: Formula, query: str) -> ReductionOutput:
     """
     require_query(formula, query)
     _require_fragment(formula, (_XOR3, _XOR2), "parity")
-    sat, _ = gauss_solve([(vs, 1) for _, vs in formula.constraints])
     pre = fresh_prefix(formula.universe)
-    if not sat:
+    system = formula_system(formula)  # never None: XOR3 and XOR2 are affine
+    if not system.satisfiable:
         y = pre + "y"
         target = Formula.of([Constraint(_XOR3, (y, query, query))], (query, y))
         stats = ReductionStats(fresh_var_count=1, boost_n=None, declared_weight_offset=None)
@@ -239,12 +236,8 @@ def reduce_xor3xor2_to_xor3(formula: Formula, query: str) -> ReductionOutput:
     big_n = n + 1
     w, t = pre + "w", pre + "t"
     boosts = tuple(f"{pre}w{j}" for j in range(1, big_n + 1))
-    cons = []
-    for rel, vs in formula.constraints:
-        if rel.same_tuples(_XOR2):
-            cons.append(Constraint(_XOR3, (vs[0], vs[1], w)))
-        else:
-            cons.append(Constraint(_XOR3, vs))
+    # the fragment check leaves XOR3 as the only ternary and XOR2 as the only binary relation
+    cons = [Constraint(_XOR3, vs if len(vs) == 3 else vs + (w,)) for _, vs in formula.constraints]
     cons.append(Constraint(_XOR3, (t, t, t)))
     cons.extend(Constraint(_XOR3, (t, w, wj)) for wj in boosts)
     target = Formula.of(cons, formula.universe + (w, t) + boosts, validate=False)
@@ -294,33 +287,48 @@ def reduce_to_weakbase(c: CoCloneId, formula: Formula, query: str) -> ReductionO
     return builder(c, rel, formula, query)
 
 
+def _pair_lifter(formula: Formula, pre: str, roles: str,
+                 bits: Callable[[dict[str, int], tuple[str, ...]], Iterable[int]],
+                 fixed: dict[str, int]) -> Callable[[dict[str, int]], dict[str, int]]:
+    """Lifter of a gadget with fresh variables ``{pre}{r}{i}`` and
+    ``{pre}{r}p{i}`` per role r and source constraint i: the first takes the
+    bit that ``bits(values, constraint_vars)`` gives role r, the second its
+    complement; ``fixed`` holds the constant fresh variables."""
+
+    def lifter(values: dict[str, int]) -> dict[str, int]:
+        ext = dict(fixed)
+        for i, (_, xs) in enumerate(formula.constraints, start=1):
+            for r, b in zip(roles, bits(values, xs)):
+                ext[f"{pre}{r}{i}"] = b
+                ext[f"{pre}{r}p{i}"] = 1 - b
+        return ext
+
+    return lifter
+
+
+def _negated(values: dict[str, int], xs: tuple[str, ...]) -> list[int]:
+    return [1 - values[x] for x in xs]
+
+
 def _wb_ii2(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
     pre = fresh_prefix(formula.universe)
     f, t = pre + "f", pre + "t"
     fill = _fill_map(rel, {6: 0, 7: 1}, (4, 5), (0, 1, 2, 3))
     cons: list[Constraint] = []
     fresh: list[str] = []
-    clause_fresh: list[tuple[tuple[str, str], tuple[str, ...], tuple[str, ...]]] = []
     for i, (_, (x1, x2)) in enumerate(formula.constraints, start=1):
-        base = tuple(f"{pre}{r}{i}" for r in "abcd")
-        primes = tuple(f"{pre}{r}p{i}" for r in "abcd")
-        a, b, cc, d = base
-        cons.append(Constraint(rel, (a, b, cc, d, x1, x2, f, t)))
-        for u, up in zip(base, primes):
-            cons.append(Constraint(rel, (u, up, f, up, u, t, f, t)))
-        fresh.extend(base + primes)
-        clause_fresh.append(((x1, x2), base, primes))
-    fresh.extend((f, t))
+        a, b, cc, d = f"{pre}a{i}", f"{pre}b{i}", f"{pre}c{i}", f"{pre}d{i}"
+        ap, bp, cp, dp = f"{pre}ap{i}", f"{pre}bp{i}", f"{pre}cp{i}", f"{pre}dp{i}"
+        cons += (Constraint(rel, (a, b, cc, d, x1, x2, f, t)),
+                 Constraint(rel, (a, ap, f, ap, a, t, f, t)),
+                 Constraint(rel, (b, bp, f, bp, b, t, f, t)),
+                 Constraint(rel, (cc, cp, f, cp, cc, t, f, t)),
+                 Constraint(rel, (d, dp, f, dp, d, t, f, t)))
+        fresh += (a, b, cc, d, ap, bp, cp, dp)
+    fresh += (f, t)
     target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-
-    def lifter(values: dict[str, int]) -> dict[str, int]:
-        ext = {f: 0, t: 1}
-        for (x1, x2), base, primes in clause_fresh:
-            bits = fill[(values[x1], values[x2])]
-            ext.update(zip(base, bits))
-            ext.update(zip(primes, (1 - b for b in bits)))
-        return ext
-
+    lifter = _pair_lifter(formula, pre, "abcd", lambda values, xs: fill[values[xs[0]], values[xs[1]]],
+                          {f: 0, t: 1})
     p = formula.num_constraints
     stats = ReductionStats(fresh_var_count=8 * p + 2, boost_n=None,
                            declared_weight_offset=4 * p + 1)
@@ -371,32 +379,22 @@ def _wb_in2(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reduct
     fill = _fill_map(rel, {0: 0, 7: 1}, (5, 6), (1, 2, 3, 4))
     cons: list[Constraint] = []
     fresh: list[str] = []
-    clause_fresh = []
     for i, (_, (x1, x2)) in enumerate(formula.constraints, start=1):
-        base = tuple(f"{pre}{r}{i}" for r in "abcd")
-        primes = tuple(f"{pre}{r}p{i}" for r in "abcd")
-        a, b, cc, d = base
-        cons.append(Constraint(rel, (f, a, b, cc, d, x1, x2, t)))
-        for u, up in zip(base, primes):
-            cons.append(Constraint(rel, (u, u, u, u, up, up, up, up)))
-        fresh.extend(base + primes)
-        clause_fresh.append(((x1, x2), base, primes))
+        a, b, cc, d = f"{pre}a{i}", f"{pre}b{i}", f"{pre}c{i}", f"{pre}d{i}"
+        ap, bp, cp, dp = f"{pre}ap{i}", f"{pre}bp{i}", f"{pre}cp{i}", f"{pre}dp{i}"
+        cons += (Constraint(rel, (f, a, b, cc, d, x1, x2, t)),
+                 Constraint(rel, (a, a, a, a, ap, ap, ap, ap)),
+                 Constraint(rel, (b, b, b, b, bp, bp, bp, bp)),
+                 Constraint(rel, (cc, cc, cc, cc, cp, cp, cp, cp)),
+                 Constraint(rel, (d, d, d, d, dp, dp, dp, dp)))
+        fresh += (a, b, cc, d, ap, bp, cp, dp)
     cons.append(Constraint(rel, (f, f, f, f, t, t, t, t)))
     boosts = tuple(f"{pre}f{j}" for j in range(1, big_n + 1))
     cons.extend(Constraint(rel, (fj, fj, fj, fj, t, t, t, t)) for fj in boosts)
-    fresh.extend((f, t))
-    fresh.extend(boosts)
+    fresh += (f, t) + boosts
     target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-
-    def lifter(values: dict[str, int]) -> dict[str, int]:
-        ext = {f: 0, t: 1}
-        ext.update({fj: 0 for fj in boosts})
-        for (x1, x2), base, primes in clause_fresh:
-            bits = fill[(values[x1], values[x2])]
-            ext.update(zip(base, bits))
-            ext.update(zip(primes, (1 - b for b in bits)))
-        return ext
-
+    lifter = _pair_lifter(formula, pre, "abcd", lambda values, xs: fill[values[xs[0]], values[xs[1]]],
+                          {f: 0, t: 1, **dict.fromkeys(boosts, 0)})
     stats = ReductionStats(fresh_var_count=8 * p + big_n + 2, boost_n=big_n,
                            declared_weight_offset=4 * p + 1)
     return ReductionOutput(target, query, None, stats, formula, lifter)
@@ -407,27 +405,15 @@ def _wb_il2(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reduct
     f, t = pre + "f", pre + "t"
     cons: list[Constraint] = []
     fresh: list[str] = []
-    clause_fresh = []
     for i, (_, (x1, x2, x3)) in enumerate(formula.constraints, start=1):
-        base = tuple(f"{pre}{r}{i}" for r in "uvw")
-        primes = tuple(f"{pre}{r}p{i}" for r in "uvw")
-        u, v, w = base
-        up, vp, wp = primes
-        cons.append(Constraint(rel, (u, v, w, x1, x2, x3, f, t)))
-        cons.append(Constraint(rel, (u, v, w, up, vp, wp, f, t)))
-        fresh.extend(base + primes)
-        clause_fresh.append(((x1, x2, x3), base, primes))
-    fresh.extend((f, t))
+        u, v, w = f"{pre}u{i}", f"{pre}v{i}", f"{pre}w{i}"
+        up, vp, wp = f"{pre}up{i}", f"{pre}vp{i}", f"{pre}wp{i}"
+        cons += (Constraint(rel, (u, v, w, x1, x2, x3, f, t)),
+                 Constraint(rel, (u, v, w, up, vp, wp, f, t)))
+        fresh += (u, v, w, up, vp, wp)
+    fresh += (f, t)
     target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-
-    def lifter(values: dict[str, int]) -> dict[str, int]:
-        ext = {f: 0, t: 1}
-        for xs, base, primes in clause_fresh:
-            for x, u, up in zip(xs, base, primes):
-                ext[u] = 1 - values[x]
-                ext[up] = values[x]
-        return ext
-
+    lifter = _pair_lifter(formula, pre, "uvw", _negated, {f: 0, t: 1})
     p = formula.num_constraints
     stats = ReductionStats(fresh_var_count=6 * p + 2, boost_n=None,
                            declared_weight_offset=3 * p + 1)
@@ -441,32 +427,18 @@ def _wb_il3(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reduct
     f, t = pre + "f", pre + "t"
     cons: list[Constraint] = []
     fresh: list[str] = []
-    clause_fresh = []
     for i, (_, (x1, x2, x3)) in enumerate(formula.constraints, start=1):
-        base = tuple(f"{pre}{r}{i}" for r in "uvw")
-        primes = tuple(f"{pre}{r}p{i}" for r in "uvw")
-        u, v, w = base
-        up, vp, wp = primes
-        cons.append(Constraint(rel, (u, v, w, f, x1, x2, x3, t)))
-        cons.append(Constraint(rel, (u, v, w, f, up, vp, wp, t)))
-        fresh.extend(base + primes)
-        clause_fresh.append(((x1, x2, x3), base, primes))
+        u, v, w = f"{pre}u{i}", f"{pre}v{i}", f"{pre}w{i}"
+        up, vp, wp = f"{pre}up{i}", f"{pre}vp{i}", f"{pre}wp{i}"
+        cons += (Constraint(rel, (u, v, w, f, x1, x2, x3, t)),
+                 Constraint(rel, (u, v, w, f, up, vp, wp, t)))
+        fresh += (u, v, w, up, vp, wp)
     cons.append(Constraint(rel, (f, f, f, f, t, t, t, t)))
     boosts = tuple(f"{pre}f{j}" for j in range(1, big_n + 1))
     cons.extend(Constraint(rel, (fj, fj, fj, fj, t, t, t, t)) for fj in boosts)
-    fresh.extend((f, t))
-    fresh.extend(boosts)
+    fresh += (f, t) + boosts
     target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-
-    def lifter(values: dict[str, int]) -> dict[str, int]:
-        ext = {f: 0, t: 1}
-        ext.update({fj: 0 for fj in boosts})
-        for xs, base, primes in clause_fresh:
-            for x, u, up in zip(xs, base, primes):
-                ext[u] = 1 - values[x]
-                ext[up] = values[x]
-        return ext
-
+    lifter = _pair_lifter(formula, pre, "uvw", _negated, {f: 0, t: 1, **dict.fromkeys(boosts, 0)})
     stats = ReductionStats(fresh_var_count=6 * p + big_n + 2, boost_n=big_n,
                            declared_weight_offset=3 * p + 1)
     return ReductionOutput(target, query, None, stats, formula, lifter)

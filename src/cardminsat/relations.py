@@ -32,6 +32,13 @@ def index_to_tuple(idx: int, arity: int) -> tuple[int, ...]:
     return tuple((idx >> (arity - 1 - i)) & 1 for i in range(arity))
 
 
+def set_bit_indices(bitset: int) -> np.ndarray:
+    """Positions of the set bits of a non-negative int, ascending, in time
+    linear in its length."""
+    raw = bitset.to_bytes((bitset.bit_length() + 7) // 8, "little")
+    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
+
+
 @dataclass(frozen=True)
 class Relation:
     """A named k-ary Boolean relation; ``rows`` is the tuple-index bitset."""
@@ -81,12 +88,7 @@ class Relation:
 
     def tuple_indices(self) -> list[int]:
         """Sorted tuple indices (the canonical matrix row order)."""
-        rows, out = self.rows, []
-        while rows:
-            low = rows & -rows
-            out.append(low.bit_length() - 1)
-            rows ^= low
-        return out
+        return set_bit_indices(self.rows).tolist()
 
     def tuples(self) -> list[tuple[int, ...]]:
         return [index_to_tuple(i, self.arity) for i in self.tuple_indices()]
@@ -121,13 +123,8 @@ class Relation:
 
 @lru_cache(maxsize=512)
 def _relation_table(arity: int, rows: int) -> np.ndarray:
-    size = 1 << arity
-    table = np.zeros(size, dtype=bool)
-    idx = rows
-    while idx:
-        low = idx & -idx
-        table[low.bit_length() - 1] = True
-        idx ^= low
+    table = np.zeros(1 << arity, dtype=bool)
+    table[set_bit_indices(rows)] = True
     table.setflags(write=False)
     return table
 

@@ -1,6 +1,10 @@
+import random
+
+import numpy as np
 import pytest
 
-from cardminsat import ConstraintLanguage, GuardError, Relation, build_named_relation
+from cardminsat import (ConstraintLanguage, GuardError, Relation, affine_parity_checks,
+                        build_named_relation)
 from cardminsat.relations import index_to_tuple, tuple_to_index
 
 
@@ -107,3 +111,53 @@ def test_language_union_rejects_a_redefined_name():
     assert [r.name for r in merged] == ["T", "F"]
     with pytest.raises(ValueError):
         ConstraintLanguage.of(t).union(ConstraintLanguage.of(f.renamed("T")))
+
+
+def _is_affine_reference(indices: list[int]) -> bool:
+    """Closed under x ^ y ^ z, tried on every triple of member indices."""
+    members = set(indices)
+    return all(a ^ b ^ c in members for a in indices for b in indices for c in indices)
+
+
+def _check_bitset_views(rel: Relation, affine: bool) -> None:
+    indices = [i for i in range(1 << rel.arity) if (rel.rows >> i) & 1]
+    assert rel.tuple_indices() == indices
+    assert np.flatnonzero(rel.table()).tolist() == indices
+    checks = affine_parity_checks(rel)
+    assert (checks is not None) == affine
+    if checks is not None:
+        def satisfies(i: int) -> bool:
+            bits = index_to_tuple(i, rel.arity)
+            return all(sum(bits[j] for j in coords) % 2 == p for coords, p in checks)
+        assert [i for i in range(1 << rel.arity) if satisfies(i)] == indices
+
+
+def test_bitset_views_match_a_per_index_walk():
+    for arity in (1, 2, 3):
+        for rows in range(1 << (1 << arity)):
+            rel = Relation("R", arity, rows)
+            indices = [i for i in range(1 << arity) if (rows >> i) & 1]
+            _check_bitset_views(rel, _is_affine_reference(indices))
+    rng = random.Random(31)
+    for arity in range(4, 17):
+        full = (1 << (1 << arity)) - 1
+        _check_bitset_views(Relation("EMPTY", arity, 0), True)
+        _check_bitset_views(Relation("FULL", arity, full), True)
+        # a random coset of a random subspace is affine; swapping one of its
+        # tuples for a non-member keeps a power-of-two count but not affinity
+        basis = [rng.getrandbits(arity) for _ in range(rng.randint(2, arity))]
+        offset = rng.getrandbits(arity)
+        span = {0}
+        for b in basis:
+            span |= {s ^ b for s in span}
+        coset = sum(1 << (s ^ offset) for s in span)
+        _check_bitset_views(Relation("COSET", arity, coset), True)
+        if 4 <= len(span) < 1 << arity:
+            outside = rng.choice([i for i in range(1 << arity) if not (coset >> i) & 1])
+            swapped = coset ^ (1 << (next(iter(span)) ^ offset)) ^ (1 << outside)
+            _check_bitset_views(Relation("SWAPPED", arity, swapped), False)
+        # a random relation whose tuple count is not a power of two
+        dense = rng.getrandbits(1 << arity)
+        while dense.bit_count() & (dense.bit_count() - 1) == 0:
+            dense = rng.getrandbits(1 << arity)
+        _check_bitset_views(Relation("DENSE", arity, dense), False)
