@@ -9,17 +9,11 @@ import numpy as np
 from .errors import GuardError, PreconditionError
 from .formulas import (Assignment, CmsAnswer, CmsStarInstance, Formula, IN_MIN_MODEL,
                        QUERY_FALSE, UNSATISFIABLE, require_query)
+from .relations import index_to_tuple
 from . import search
 
 DEFAULT_MAX_VARS = 24
 _CHUNK = 1 << 20
-
-
-def _popcount_u32(a: np.ndarray) -> np.ndarray:
-    a = a - ((a >> np.uint32(1)) & np.uint32(0x55555555))
-    a = (a & np.uint32(0x33333333)) + ((a >> np.uint32(2)) & np.uint32(0x33333333))
-    a = (a + (a >> np.uint32(4))) & np.uint32(0x0F0F0F0F)
-    return ((a * np.uint32(0x01010101)) >> np.uint32(24)) & np.uint32(0x3F)
 
 
 def _check_guard(formula: Formula, max_vars: int) -> int:
@@ -49,8 +43,7 @@ def _model_chunks(formula: Formula, n: int) -> Iterator[np.ndarray]:
 
 
 def _index_to_assignment(formula: Formula, idx: int) -> Assignment:
-    n = formula.num_vars
-    return Assignment(formula.universe, tuple((idx >> (n - 1 - j)) & 1 for j in range(n)))
+    return Assignment(formula.universe, index_to_tuple(idx, formula.num_vars))
 
 
 def enumerate_models(formula: Formula, max_vars: int = DEFAULT_MAX_VARS) -> list[Assignment]:
@@ -72,7 +65,7 @@ def cms_bruteforce(formula: Formula, query: str, max_vars: int = DEFAULT_MAX_VAR
     for chunk in _model_chunks(formula, n):
         if not len(chunk):
             continue
-        weights = _popcount_u32(chunk).astype(np.int64)
+        weights = np.bitwise_count(chunk)
         w = int(weights.min())
         if min_weight is None or w < min_weight:
             min_weight = w

@@ -193,18 +193,12 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.verb](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (GuardError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 def main() -> None:

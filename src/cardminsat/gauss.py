@@ -41,7 +41,6 @@ class GF2Solver:
 
     def __init__(self) -> None:
         self.mask: dict[str, int] = {}
-        self.var_of_slot: dict[int, str] = {}
         self._users: dict[int, set[str]] = {}
         self._spare_ids: list[int] = []
         self._next_slot = 1
@@ -53,7 +52,6 @@ class GF2Solver:
         else:
             s = self._next_slot
             self._next_slot += 1
-        self.var_of_slot[s] = var
         self.mask[var] = 1 << s
         self._users[s] = {var}
         return s
@@ -116,7 +114,6 @@ class GF2Solver:
         assert best is not None
         s = best[1]
         bit = 1 << s
-        del self.var_of_slot[s]
         users = users_index.pop(s)
         self._spare_ids.append(s)
         newexpr = expr ^ bit
@@ -141,7 +138,7 @@ class GF2Solver:
         return not self.unsat
 
     def free_slot_bits(self) -> list[int]:
-        return sorted(self.var_of_slot)
+        return sorted(self._users)
 
     def value_mask(self, var: str) -> int:
         """Value mask of ``var`` over the constant bit and the free slots;

@@ -12,7 +12,9 @@ reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import chain, islice
+from operator import itemgetter
+from typing import Callable
 
 from .coclones import CoCloneId, weak_base
 from .errors import PreconditionError
@@ -256,19 +258,6 @@ def reduce_xor3xor2_to_xor3(formula: Formula, query: str) -> ReductionOutput:
 # ---------------------------------------------------------------------------
 
 
-def _fill_map(rel: Relation, fixed: dict[int, int], key_coords: tuple[int, ...],
-              value_coords: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Rows of ``rel`` matching the fixed coordinates, keyed by a projection."""
-    out: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for t in rel.tuples():
-        if all(t[i] == b for i, b in fixed.items()):
-            key = tuple(t[i] for i in key_coords)
-            if key in out:
-                raise AssertionError(f"{rel.name}: fresh coordinates not determined for {key}")
-            out[key] = tuple(t[i] for i in value_coords)
-    return out
-
-
 def reduce_to_weakbase(c: CoCloneId, formula: Formula, query: str) -> ReductionOutput:
     """Rewrite a source instance into a weak-base instance of a hard co-clone.
 
@@ -287,51 +276,79 @@ def reduce_to_weakbase(c: CoCloneId, formula: Formula, query: str) -> ReductionO
     return builder(c, rel, formula, query)
 
 
-def _pair_lifter(formula: Formula, pre: str, roles: str,
-                 bits: Callable[[dict[str, int], tuple[str, ...]], Iterable[int]],
-                 fixed: dict[str, int]) -> Callable[[dict[str, int]], dict[str, int]]:
-    """Lifter of a gadget with fresh variables ``{pre}{r}{i}`` and
-    ``{pre}{r}p{i}`` per role r and source constraint i: the first takes the
-    bit that ``bits(values, constraint_vars)`` gives role r, the second its
-    complement; ``fixed`` holds the constant fresh variables."""
+# A pair gadget makes, per source constraint i, a head {pre}{r}{i} and a
+# complement {pre}{r}p{i} for each role r: a main constraint over the heads,
+# the source variables x1..xk and the constants f, t, then pair constraints
+# that tie each head to its complement.  A boosted gadget appends
+# R(f,f,f,f,t,t,t,t) and n+p+1 copies of it with a fresh fj in place of f.
+# Each row: (roles, main layout, pair layouts, boosted).
+_PAIR_GADGETS = {
+    "II2": ("abcd", "a b c d x1 x2 f t",
+            ("a ap f ap a t f t", "b bp f bp b t f t", "c cp f cp c t f t", "d dp f dp d t f t"),
+            False),
+    "IN2": ("abcd", "f a b c d x1 x2 t",
+            ("a a a a ap ap ap ap", "b b b b bp bp bp bp", "c c c c cp cp cp cp",
+             "d d d d dp dp dp dp"),
+            True),
+    "IL2": ("uvw", "u v w x1 x2 x3 f t", ("u v w up vp wp f t",), False),
+    "IL3": ("uvw", "u v w f x1 x2 x3 t", ("u v w f up vp wp t",), True),
+}
+
+
+def _fill_map(rel: Relation, main: list[str], xs_names: list[str],
+              roles: str) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Source bits -> bits of the heads, then of their complements, read off
+    the rows of ``rel`` that fit the main layout with f = 0 and t = 1."""
+    out: dict[tuple[int, ...], tuple[int, ...]] = {}
+    key_of = [main.index(x) for x in xs_names]
+    head_of = [main.index(r) for r in roles]
+    f_at, t_at = main.index("f"), main.index("t")
+    for row in rel.tuples():
+        if row[f_at] == 0 and row[t_at] == 1:
+            key = tuple(row[j] for j in key_of)
+            if key in out:
+                raise AssertionError(f"{rel.name}: fresh coordinates not determined for {key}")
+            heads = tuple(row[j] for j in head_of)
+            out[key] = heads + tuple(1 - b for b in heads)
+    return out
+
+
+def _wb_pair(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
+    roles, main, pairs, boosted = _PAIR_GADGETS[c.tag]
+    main_coords = main.split()
+    xs_names = [s for s in main_coords if s[0] == "x"]
+    fresh_names = [*roles, *(r + "p" for r in roles)]
+    symbols = ["f", "t", *xs_names, *fresh_names]
+    getters = [itemgetter(*map(symbols.index, layout.split())) for layout in (main,) + pairs]
+    fill = _fill_map(rel, main_coords, xs_names, roles)
+    pre = fresh_prefix(formula.universe)
+    f, t = pre + "f", pre + "t"
+    stems = [pre + s for s in fresh_names]
+    n, p = formula.num_vars, formula.num_constraints
+    fresh = [s + i for i in map(str, range(1, p + 1)) for s in stems]
+    names_of = zip(*[iter(fresh)] * len(stems))  # the fresh names of each source constraint
+    cons = [Constraint(rel, get(row))
+            for (_, xs), names in zip(formula.constraints, names_of)
+            for row in [(f, t, *xs, *names)] for get in getters]
+    fresh += (f, t)
+    fixed = {f: 0, t: 1}
+    big_n = n + p + 1 if boosted else None
+    if big_n is not None:
+        boosts = [f"{pre}f{j}" for j in range(1, big_n + 1)]
+        cons += [Constraint(rel, (fj, fj, fj, fj, t, t, t, t)) for fj in [f, *boosts]]
+        fresh += boosts
+        fixed.update(dict.fromkeys(boosts, 0))
+    target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
 
     def lifter(values: dict[str, int]) -> dict[str, int]:
         ext = dict(fixed)
-        for i, (_, xs) in enumerate(formula.constraints, start=1):
-            for r, b in zip(roles, bits(values, xs)):
-                ext[f"{pre}{r}{i}"] = b
-                ext[f"{pre}{r}p{i}"] = 1 - b
+        bits = (fill[tuple(map(values.__getitem__, xs))] for _, xs in formula.constraints)
+        # after the n source variables the target universe lists each constraint's fresh names
+        ext.update(zip(islice(target.universe, n, None), chain.from_iterable(bits)))
         return ext
 
-    return lifter
-
-
-def _negated(values: dict[str, int], xs: tuple[str, ...]) -> list[int]:
-    return [1 - values[x] for x in xs]
-
-
-def _wb_ii2(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
-    pre = fresh_prefix(formula.universe)
-    f, t = pre + "f", pre + "t"
-    fill = _fill_map(rel, {6: 0, 7: 1}, (4, 5), (0, 1, 2, 3))
-    cons: list[Constraint] = []
-    fresh: list[str] = []
-    for i, (_, (x1, x2)) in enumerate(formula.constraints, start=1):
-        a, b, cc, d = f"{pre}a{i}", f"{pre}b{i}", f"{pre}c{i}", f"{pre}d{i}"
-        ap, bp, cp, dp = f"{pre}ap{i}", f"{pre}bp{i}", f"{pre}cp{i}", f"{pre}dp{i}"
-        cons += (Constraint(rel, (a, b, cc, d, x1, x2, f, t)),
-                 Constraint(rel, (a, ap, f, ap, a, t, f, t)),
-                 Constraint(rel, (b, bp, f, bp, b, t, f, t)),
-                 Constraint(rel, (cc, cp, f, cp, cc, t, f, t)),
-                 Constraint(rel, (d, dp, f, dp, d, t, f, t)))
-        fresh += (a, b, cc, d, ap, bp, cp, dp)
-    fresh += (f, t)
-    target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-    lifter = _pair_lifter(formula, pre, "abcd", lambda values, xs: fill[values[xs[0]], values[xs[1]]],
-                          {f: 0, t: 1})
-    p = formula.num_constraints
-    stats = ReductionStats(fresh_var_count=8 * p + 2, boost_n=None,
-                           declared_weight_offset=4 * p + 1)
+    stats = ReductionStats(fresh_var_count=len(fresh), boost_n=big_n,
+                           declared_weight_offset=len(roles) * p + 1)
     return ReductionOutput(target, query, None, stats, formula, lifter)
 
 
@@ -368,79 +385,6 @@ def _wb_ii1(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reduct
 
     stats = ReductionStats(fresh_var_count=2 * p + 2 * big_n + 2, boost_n=big_n,
                            declared_weight_offset=p + big_n + 1)
-    return ReductionOutput(target, query, None, stats, formula, lifter)
-
-
-def _wb_in2(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
-    pre = fresh_prefix(formula.universe)
-    n, p = formula.num_vars, formula.num_constraints
-    big_n = n + p + 1
-    f, t = pre + "f", pre + "t"
-    fill = _fill_map(rel, {0: 0, 7: 1}, (5, 6), (1, 2, 3, 4))
-    cons: list[Constraint] = []
-    fresh: list[str] = []
-    for i, (_, (x1, x2)) in enumerate(formula.constraints, start=1):
-        a, b, cc, d = f"{pre}a{i}", f"{pre}b{i}", f"{pre}c{i}", f"{pre}d{i}"
-        ap, bp, cp, dp = f"{pre}ap{i}", f"{pre}bp{i}", f"{pre}cp{i}", f"{pre}dp{i}"
-        cons += (Constraint(rel, (f, a, b, cc, d, x1, x2, t)),
-                 Constraint(rel, (a, a, a, a, ap, ap, ap, ap)),
-                 Constraint(rel, (b, b, b, b, bp, bp, bp, bp)),
-                 Constraint(rel, (cc, cc, cc, cc, cp, cp, cp, cp)),
-                 Constraint(rel, (d, d, d, d, dp, dp, dp, dp)))
-        fresh += (a, b, cc, d, ap, bp, cp, dp)
-    cons.append(Constraint(rel, (f, f, f, f, t, t, t, t)))
-    boosts = tuple(f"{pre}f{j}" for j in range(1, big_n + 1))
-    cons.extend(Constraint(rel, (fj, fj, fj, fj, t, t, t, t)) for fj in boosts)
-    fresh += (f, t) + boosts
-    target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-    lifter = _pair_lifter(formula, pre, "abcd", lambda values, xs: fill[values[xs[0]], values[xs[1]]],
-                          {f: 0, t: 1, **dict.fromkeys(boosts, 0)})
-    stats = ReductionStats(fresh_var_count=8 * p + big_n + 2, boost_n=big_n,
-                           declared_weight_offset=4 * p + 1)
-    return ReductionOutput(target, query, None, stats, formula, lifter)
-
-
-def _wb_il2(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
-    pre = fresh_prefix(formula.universe)
-    f, t = pre + "f", pre + "t"
-    cons: list[Constraint] = []
-    fresh: list[str] = []
-    for i, (_, (x1, x2, x3)) in enumerate(formula.constraints, start=1):
-        u, v, w = f"{pre}u{i}", f"{pre}v{i}", f"{pre}w{i}"
-        up, vp, wp = f"{pre}up{i}", f"{pre}vp{i}", f"{pre}wp{i}"
-        cons += (Constraint(rel, (u, v, w, x1, x2, x3, f, t)),
-                 Constraint(rel, (u, v, w, up, vp, wp, f, t)))
-        fresh += (u, v, w, up, vp, wp)
-    fresh += (f, t)
-    target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-    lifter = _pair_lifter(formula, pre, "uvw", _negated, {f: 0, t: 1})
-    p = formula.num_constraints
-    stats = ReductionStats(fresh_var_count=6 * p + 2, boost_n=None,
-                           declared_weight_offset=3 * p + 1)
-    return ReductionOutput(target, query, None, stats, formula, lifter)
-
-
-def _wb_il3(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
-    pre = fresh_prefix(formula.universe)
-    n, p = formula.num_vars, formula.num_constraints
-    big_n = n + p + 1
-    f, t = pre + "f", pre + "t"
-    cons: list[Constraint] = []
-    fresh: list[str] = []
-    for i, (_, (x1, x2, x3)) in enumerate(formula.constraints, start=1):
-        u, v, w = f"{pre}u{i}", f"{pre}v{i}", f"{pre}w{i}"
-        up, vp, wp = f"{pre}up{i}", f"{pre}vp{i}", f"{pre}wp{i}"
-        cons += (Constraint(rel, (u, v, w, f, x1, x2, x3, t)),
-                 Constraint(rel, (u, v, w, f, up, vp, wp, t)))
-        fresh += (u, v, w, up, vp, wp)
-    cons.append(Constraint(rel, (f, f, f, f, t, t, t, t)))
-    boosts = tuple(f"{pre}f{j}" for j in range(1, big_n + 1))
-    cons.extend(Constraint(rel, (fj, fj, fj, fj, t, t, t, t)) for fj in boosts)
-    fresh += (f, t) + boosts
-    target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-    lifter = _pair_lifter(formula, pre, "uvw", _negated, {f: 0, t: 1, **dict.fromkeys(boosts, 0)})
-    stats = ReductionStats(fresh_var_count=6 * p + big_n + 2, boost_n=big_n,
-                           declared_weight_offset=3 * p + 1)
     return ReductionOutput(target, query, None, stats, formula, lifter)
 
 
@@ -484,11 +428,11 @@ def _wb_is(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reducti
 
 
 _WEAKBASE_BUILDERS = {
-    "II2": _wb_ii2,
+    "II2": _wb_pair,
     "II1": _wb_ii1,
-    "IN2": _wb_in2,
-    "IL2": _wb_il2,
-    "IL3": _wb_il3,
+    "IN2": _wb_pair,
+    "IL2": _wb_pair,
+    "IL3": _wb_pair,
     "IL1": _wb_il1,
     "IV2": _wb_iv,
     "IV1": _wb_iv,

@@ -133,74 +133,50 @@ def solve_width2affine(formula: Formula, query: str) -> SolveReport:
             raise PreconditionError(
                 f"relation {rel.name} is not width-2-affine; refusing to run the parity engine")
     dsu = _ParityDSU()
-    unsat = False
     for rel, vs in formula.constraints:
         for coords, parity in checks[rel]:
-            if len(coords) == 1:
-                dsu.union(vs[coords[0]], dsu.ZERO, parity)
-            else:
-                i, j = coords
-                if vs[i] == vs[j]:
-                    if parity == 1:
-                        unsat = True
-                else:
-                    dsu.union(vs[i], vs[j], parity)
-    if unsat or dsu.unsat:
+            # a unit check ties its variable to the constant; union(x, x, 1) flags unsat
+            dsu.union(vs[coords[0]], vs[coords[1]] if len(coords) == 2 else dsu.ZERO, parity)
+    if dsu.unsat:
         return SolveReport(CmsAnswer(False, None, None, UNSATISFIABLE), Engine.WIDTH2_AFFINE)
-    comps: dict[str, list[tuple[str, int]]] = {}
-    for v in formula.universe:
-        if v in dsu.parent:
-            root, p = dsu.find(v)
-            comps.setdefault(root, []).append((v, p))
-    zero_root, zero_par = (dsu.find(dsu.ZERO) if dsu.ZERO in dsu.parent else (None, 0))
-    position = {v: i for i, v in enumerate(formula.universe)}
-    min_weight = 0
+    # (root, parity) of each variable in some check; the others are 0 in every minimum model
+    rooted = [dsu.find(v) if v in dsu.parent else None for v in formula.universe]
     choice: dict[str, int] = {}  # component root -> value of the root
-    query_yes: bool
-    if zero_root is not None:
-        # The constant sits in this component with parity zero_par to the
-        # root, so the root's value is forced to zero_par.
-        min_weight += sum(p ^ zero_par for _, p in comps.get(zero_root, []))
-        choice[zero_root] = zero_par
-    for root, members in comps.items():
-        if root == zero_root:
-            continue
-        c1 = sum(p for _, p in members)          # weight when root = 0
-        c0 = len(members) - c1                   # weight when root = 1
-        min_weight += min(c1, c0)
-        if c1 < c0:
-            choice[root] = 0
-        elif c0 < c1:
-            choice[root] = 1
-        else:
-            earliest = min(members, key=lambda vp: position[vp[0]])
-            choice[root] = earliest[1]  # makes the earliest member 0
-    if query in dsu.parent:
-        qroot, qpar = dsu.find(query)
-        if qroot == zero_root:
-            query_yes = (qpar ^ zero_par) == 1
-        else:
-            members = comps[qroot]
-            c1 = sum(p for _, p in members)
-            c0 = len(members) - c1
-            b_for_one = qpar ^ 1
-            w_one = c0 if b_for_one == 1 else c1
-            w_zero = c0 if b_for_one == 0 else c1
-            query_yes = w_one <= w_zero
-            if query_yes:
-                choice[qroot] = b_for_one
-    else:
-        query_yes = False  # isolated variables are 0 in every minimum model
+    zero_root = None
+    if dsu.ZERO in dsu.parent:
+        zero_root, zero_par = dsu.find(dsu.ZERO)
+        choice[zero_root] = zero_par  # the constant's component is forced
+    ones: dict[str, int] = {}  # component root -> weight when the root is 0
+    size: dict[str, int] = {}
+    for rp in rooted:
+        if rp is not None:
+            root, p = rp
+            if root in size:
+                size[root] += 1
+                ones[root] += p
+            else:
+                size[root], ones[root] = 1, p
+                choice.setdefault(root, p)  # on a tie the earliest member is 0
+
+    def cost(root: str, b: int) -> int:
+        return size[root] - ones[root] if b else ones[root]
+
+    for root, n1 in ones.items():
+        n0 = size[root] - n1  # weight when the root is 1
+        if root != zero_root and n1 != n0:
+            choice[root] = int(n0 < n1)
+    min_weight = sum(cost(root, b) for root, b in choice.items())
+    query_yes = False
+    q = rooted[formula.universe.index(query)]
+    if q is not None:
+        qroot, qpar = q
+        if qroot != zero_root and cost(qroot, qpar ^ 1) <= cost(qroot, qpar):
+            choice[qroot] = qpar ^ 1  # a minimum model with the query at 1
+        query_yes = qpar ^ choice[qroot] == 1
     if not query_yes:
         return SolveReport(CmsAnswer(False, min_weight, None, QUERY_FALSE), Engine.WIDTH2_AFFINE)
-    values = []
-    for v in formula.universe:
-        if v in dsu.parent:
-            root, p = dsu.find(v)
-            values.append(p ^ choice[root])
-        else:
-            values.append(0)
-    witness = Assignment(formula.universe, tuple(values))
+    values = tuple(0 if rp is None else rp[1] ^ choice[rp[0]] for rp in rooted)
+    witness = Assignment(formula.universe, values)
     return SolveReport(CmsAnswer(True, min_weight, witness, IN_MIN_MODEL), Engine.WIDTH2_AFFINE)
 
 

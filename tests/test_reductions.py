@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -298,3 +299,84 @@ def test_fresh_prefix_never_collides():
     again = reduce_nae3_to_xor3_star(out.formula, "_f")
     fresh = [v for v in again.formula.universe if v not in out.formula.universe]
     assert all(v.startswith("___") for v in fresh)
+
+
+# sha256 of the final .cms and .rel that `cardminsat reduce` writes for PINNED_SOURCE; any
+# change to the order or naming of a target's variables, constraints or tuples changes them
+PINNED_OR2_REL = "relation OR2 2\n01\n10\n11\n\n"
+PINNED_SOURCE = "lang or2.rel\nvar x y z w\nc OR2 x y\nc OR2 y z\nc OR2 z z\nquery x\n"
+PINNED_REDUCE_DIGESTS = {
+    ("II2", None): ("c498c92c61658e6af1fdd73eb9bb6d62382f497ab1ea356e13ed21db6d475866",
+                    "04ccf471f8c5dc5d17c7b4fccb12ba7561a613b514b4f77b907409c7f596a208"),
+    ("II1", None): ("3d1898fd6feca216214177f2e36ac17173c374e530614ce1f7296087ce92bac9",
+                    "b62ffafb8d386d2258eb89cf72446b32254b531d342b3dab729c880660606994"),
+    ("IN2", None): ("3bfa2bb437ec8e6f232c8ee4f781e46d36ad12ddbb09d7042a8dbae877d65b35",
+                    "70a02d922770a827f016f65df2096f3f9dfdcb86f065760ebed82472c13eb78f"),
+    ("IV2", None): ("32a81fc10db6da3b329d0ce7cd866921e442406e22a898c147e1b8cacade4762",
+                    "5e3779bd7b112a316140f3482d32768003933c44d8396db9bcf6715266c9ca63"),
+    ("IV1", None): ("e08fd3590283b3ecd136ebbaa04c598885b686532d9ffaa6f095cfd12582d9f8",
+                    "b6d0fe53c386a6df83ecc573ea04b3c0062075785ee51a2c7589e33269efff3b"),
+    ("IL2", None): ("718c003e08818730843ec2df6ea1af45850986643068c465a08e15745b308557",
+                    "7ae3ad059fb2f7717362c9e8eeb89d8793e0e430f383def0e5219b2edb7a61d9"),
+    ("IL3", None): ("21379bfde8104a9700ce31db59854a0639df7e85738d6d4217cbc64fdb23ea34",
+                    "295a10903d66886a4cbb34ef1f29613c428bcdd6f6ffc71ce9dca6990374cf1d"),
+    ("IL1", None): ("9572693107762899a56386fc56e645082ee854565373fe3851d44e1c43297e17",
+                    "6a215e02b37d6338518564ec116d4f4cd3f025f90a29fa51d383b4e34878ae7f"),
+    ("IS0", 2): ("52c425cd58db29ba7482276ee94c7cb20a8ec94916c9bad44db8ddc4af0ba94a",
+                 "03d402f719402d392281956588bf35a5ea146fce9a780c476cdabda1a403e892"),
+    ("IS0", 3): ("5785f4708423e762f90195dd672fdf6b53d53f35d874bbc09b8b198d4445e75c",
+                 "d076cd1e75cfeaa5ad7a8cd3373cceb983f51a0ed6a8a0e2e75ec3c27ce65293"),
+    ("IS01", 2): ("9ab6eefdcf584bdad6fee33d07e345f448b27ccdde6dd8981915134d27da0acd",
+                  "a8f728ddb5f042e96bef268a10f2dcf39da13260b4d5f9b9e1d32e2c00f77a19"),
+    ("IS01", 3): ("95660747cb8433347e435f09fa6d9be96abcaa97e303ba380c6c3bf7066b0444",
+                  "7bd0e7d7701302c1cea58909dc77c47ed7a921a17d9b7ac8aade0803e5fccbd2"),
+    ("IS02", 2): ("c3e4b43b0bfb32ce0f764f8671b550c260284d024658a40ae4c9fcba3d12cd37",
+                  "3098f59509831e93c8294a94f59b26765ffce1fd148b74b985ed4312e88c9510"),
+    ("IS02", 3): ("794122ca1b52b67df80d904234ba7248afdb1645a22cf35bce56820da7942f10",
+                  "39591c8da5bd911e7b95056bc069228cf672792cdbd34ccf5472320c44979409"),
+    ("IS00", 2): ("ca1e5e57f5f53676f868d7ef2b63aef6b114e64ac1a615685ed4b2fba9f5ede1",
+                  "736dd15290def31f30686ddcff3326d22e607dfe253d2f424ff3830d7dc94bfb"),
+    ("IS00", 3): ("1d31d99369f6528abd70cb98bd3420a592512e145cf2b1074216c15d19493727",
+                  "538c1774d2a9fc4af4a1acad24320807155ef3896cdf2ea251c74b6c63692441"),
+}
+
+
+@pytest.mark.parametrize("tag,width", sorted(PINNED_REDUCE_DIGESTS, key=str))
+def test_reduce_files_match_pinned_digests(tag, width, tmp_path, capsys):
+    from cardminsat import cli
+
+    (tmp_path / "or2.rel").write_text(PINNED_OR2_REL)
+    (tmp_path / "src.cms").write_text(PINNED_SOURCE)
+    argv = ["reduce", str(tmp_path / "src.cms"), "--query", "x", "--target", tag,
+            "--out", str(tmp_path / "out")]
+    if width is not None:
+        argv += ["--width", str(width)]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    got = tuple(hashlib.sha256((tmp_path / ("out" + s)).read_bytes()).hexdigest()
+                for s in (".cms", ".rel"))
+    assert got == PINNED_REDUCE_DIGESTS[tag, width]
+
+
+# sha256 of the lifts of every source model, one model string per line
+PINNED_LIFT_DIGESTS = {
+    "II2": "2153349a3b2faf10aa6d92348e0bd2941c6a8cc130ea9071375979633d217c4d",
+    "IN2": "38ea04805b04cf841b75ce98237e9705ac638b3a483aecc878f54de167d0496d",
+    "IL2": "19829f7af97455c65a28389deaecf064ef8449c411a5d508003aacfd15923f55",
+    "IL3": "d27855778e27390ce8122123937c8db893453843c883f72c5d498f28100bbb40",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(PINNED_LIFT_DIGESTS))
+def test_pair_gadget_lifts_match_pinned_digests(tag):
+    if tag.startswith("IL"):
+        src = Formula.of([constraint(XOR3, "x", "y", "z"), constraint(XOR3, "y", "y", "w")],
+                         ("x", "y", "z", "w", "v"))
+    else:
+        src = Formula.of([constraint(OR2, "x", "y"), constraint(OR2, "y", "z"),
+                          constraint(OR2, "z", "z")], ("x", "y", "z", "w"))
+    out = reduce_to_weakbase(CoCloneId(tag), src, "x")
+    lifted = [lift_model(out, m) for m in enumerate_models(src)]
+    assert all(m.satisfies(out.formula) for m in lifted)
+    digest = hashlib.sha256("\n".join(map(str, lifted)).encode()).hexdigest()
+    assert digest == PINNED_LIFT_DIGESTS[tag]
