@@ -66,6 +66,22 @@ def _units(pap: PAP, chosen: frozenset[str], semantics: str) -> dict[str, int]:
     return units
 
 
+def _theory_solver(pap: PAP) -> GF2Solver:
+    solver = GF2Solver()
+    for c in pap.theory:
+        solver.add(c.vars, c.parity)
+    return solver
+
+
+def _explains(pap: PAP, solver: GF2Solver, chosen: frozenset[str], semantics: str) -> bool:
+    """Fold the chosen units into ``solver``, which holds the folded theory,
+    and tell whether the system stays consistent and entails every
+    manifestation."""
+    for v, b in _units(pap, chosen, semantics).items():
+        solver.add((v,), b)
+    return solver.satisfiable and all(solver.value_mask(m) == 1 for m in pap.manifestations)
+
+
 def is_solution(pap: PAP, chosen: Iterable[str], semantics: str = CLOSED_WORLD) -> bool:
     """Is the hypothesis set a solution: theory plus the chosen units is
     consistent and entails every manifestation?
@@ -80,12 +96,7 @@ def is_solution(pap: PAP, chosen: Iterable[str], semantics: str = CLOSED_WORLD) 
     for h in chosen:
         if h not in pap.hypotheses:
             raise PreconditionError(f"{h!r} is not a hypothesis")
-    solver = GF2Solver()
-    for c in pap.theory:
-        solver.add(c.vars, c.parity)
-    for v, b in _units(pap, chosen, semantics).items():
-        solver.add((v,), b)
-    return solver.satisfiable and all(solver.value_mask(m) == 1 for m in pap.manifestations)
+    return _explains(pap, _theory_solver(pap), chosen, semantics)
 
 
 def relevance_bruteforce(pap: PAP, hypothesis: str, semantics: str = CLOSED_WORLD,
@@ -93,7 +104,7 @@ def relevance_bruteforce(pap: PAP, hypothesis: str, semantics: str = CLOSED_WORL
     """Does some minimum-cardinality solution contain the hypothesis?
 
     Searches the hypothesis subsets by size, so the number of hypotheses is
-    guarded.
+    guarded.  The theory is folded once; each subset's units go into a copy.
     """
     _check_semantics(semantics)
     if hypothesis not in pap.hypotheses:
@@ -101,8 +112,10 @@ def relevance_bruteforce(pap: PAP, hypothesis: str, semantics: str = CLOSED_WORL
     if len(pap.hypotheses) > max_hypotheses:
         raise GuardError(f"{len(pap.hypotheses)} hypotheses exceed the subset-search guard "
                          f"({max_hypotheses})")
+    theory = _theory_solver(pap)
     for size in range(len(pap.hypotheses) + 1):
-        found = [s for s in combinations(pap.hypotheses, size) if is_solution(pap, s, semantics)]
+        found = [s for s in map(frozenset, combinations(pap.hypotheses, size))
+                 if _explains(pap, theory.copy(), s, semantics)]
         if found:
             return any(hypothesis in s for s in found)
     raise NoSolutionError("the abduction instance has no solution")

@@ -89,51 +89,44 @@ def closed_under(rel: Relation, op: BoolOp, guard: int = CLOSURE_GUARD) -> bool:
 
 def _columns(arity: int) -> np.ndarray:
     space = np.arange(1 << arity, dtype=np.uint32)
-    cols = np.zeros((arity, 1 << arity), dtype=bool)
-    for i in range(arity):
-        cols[i] = ((space >> np.uint32(arity - 1 - i)) & np.uint32(1)).astype(bool)
-    return cols
+    shifts = np.arange(arity - 1, -1, -1, dtype=np.uint32)
+    return ((space >> shifts[:, None]) & np.uint32(1)).astype(bool)
 
 
 def saturated_models(rel: Relation, kinds: Iterable[str], width: int | None = None) -> np.ndarray:
-    """Model table of the conjunction of all implied template constraints."""
+    """Model table of the conjunction of all implied template constraints.
+
+    Each kind is one array expression over all its coordinates, pairs or
+    subsets of one width; only the implied ones are ANDed into the table.
+    """
     k = rel.arity
     cols = _columns(k)
-    members = np.flatnonzero(rel.table())
     acc = np.ones(1 << k, dtype=bool)
-    tup = cols[:, members]  # (k, r) coordinate bits of the relation's tuples
+    tup = cols[:, np.flatnonzero(rel.table())]  # (k, r) coordinate bits of the relation's tuples
     kindset = set(kinds)
     if "T" in kindset:
-        for i in range(k):
-            if tup[i].all():
-                acc &= cols[i]
+        acc &= cols[tup.all(axis=1)].all(axis=0)
     if "F" in kindset:
-        for i in range(k):
-            if not tup[i].any():
-                acc &= ~cols[i]
+        acc &= ~cols[~tup.any(axis=1)].any(axis=0)
+    coord = np.arange(k)
+    i, j = np.nonzero(coord[:, None] < coord)  # the pairs of np.triu_indices(k, 1), built faster
     if "eq" in kindset:
-        for i, j in combinations(range(k), 2):
-            if (tup[i] == tup[j]).all():
-                acc &= ~(cols[i] ^ cols[j])
+        keep = (tup[i] == tup[j]).all(axis=1)
+        acc &= (cols[i[keep]] == cols[j[keep]]).all(axis=0)
     if "neq" in kindset:
-        for i, j in combinations(range(k), 2):
-            if (tup[i] != tup[j]).all():
-                acc &= cols[i] ^ cols[j]
+        keep = (tup[i] != tup[j]).all(axis=1)
+        acc &= (cols[i[keep]] != cols[j[keep]]).all(axis=0)
     if "impl" in kindset:
-        for i in range(k):
-            for j in range(k):
-                if i != j and (tup[i] <= tup[j]).all():
-                    acc &= ~cols[i] | cols[j]
-    if "pos" in kindset:
-        for w in range(1, (width or k) + 1):
-            for S in combinations(range(k), w):
-                if tup[list(S)].any(axis=0).all():
-                    acc &= cols[list(S)].any(axis=0)
-    if "neg" in kindset:
-        for w in range(1, (width or k) + 1):
-            for S in combinations(range(k), w):
-                if (~tup[list(S)]).any(axis=0).all():
-                    acc &= (~cols[list(S)]).any(axis=0)
+        i, j = np.nonzero(coord[:, None] != coord)
+        keep = (tup[i] <= tup[j]).all(axis=1)
+        acc &= (~cols[i[keep]] | cols[j[keep]]).all(axis=0)
+    for kind, lits, points in (("pos", tup, cols), ("neg", ~tup, ~cols)):
+        if kind not in kindset:
+            continue
+        for w in range(1, min(width or k, k) + 1):
+            subsets = np.array(list(combinations(range(k), w)), dtype=np.intp)
+            keep = lits[subsets].any(axis=1).all(axis=1)
+            acc &= points[subsets[keep]].any(axis=1).all(axis=0)
     return acc
 
 

@@ -15,7 +15,7 @@ from .bruteforce import cms_bruteforce
 from .coclones import CoCloneId, classify_cms, format_verdict, weak_base
 from .errors import GuardError, NoSolutionError, ParseError, PreconditionError
 from .fileio import (FormulaFile, load_formula_file, load_language, render_formula_file,
-                     render_relation)
+                     render_language, render_relation)
 from .formulas import Formula
 from .reductions import compose_chain
 from .relations import ConstraintLanguage
@@ -115,7 +115,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     rel_path = out_prefix.with_suffix(".rel")
     cms_path = out_prefix.with_suffix(".cms")
     language = ConstraintLanguage(tuple(final.formula.relations()))
-    rel_path.write_text("".join(render_relation(r) for r in language))
+    rel_path.write_text(render_language(language))
     out_doc = FormulaFile(final.formula, language, final.query, (rel_path.name,))
     cms_path.write_text(render_formula_file(out_doc))
     lines = [f"reduction pipeline to {target}"]
@@ -185,10 +185,14 @@ _HANDLERS = {
 }
 
 
+# Built once per process: parsing leaves the parser unchanged, and argparse
+# looks up sys.stdout/sys.stderr at the time it prints.
+_PARSER = _build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:

@@ -131,6 +131,17 @@ class GF2Solver:
                 else:
                     users_index[low.bit_length() - 1].discard(w)
 
+    def copy(self) -> GF2Solver:
+        """An independent solver in the same state: folding into either
+        leaves the other unchanged."""
+        other = GF2Solver()
+        other.mask = dict(self.mask)
+        other._users = {s: set(vs) for s, vs in self._users.items()}
+        other._spare_ids = list(self._spare_ids)
+        other._next_slot = self._next_slot
+        other.unsat = self.unsat
+        return other
+
     # -- queries ---------------------------------------------------------
 
     @property

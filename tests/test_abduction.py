@@ -86,7 +86,7 @@ def _entailed_by_enumeration(pap, chosen, semantics):
     return bool(models) and all(m[g] == 1 for m in models for g in pap.manifestations)
 
 
-def test_is_solution_matches_enumeration():
+def _seeded_paps():
     rng = random.Random(42)
     for _ in range(120):
         n = rng.randint(1, 7)
@@ -98,12 +98,42 @@ def test_is_solution_matches_enumeration():
             continue
         hyps = tuple(rng.sample(vars, rng.randint(0, n)))
         mans = tuple(rng.sample(vars, rng.randint(0, min(n, 3))))
-        pap = PAP(vars, hyps, mans, theory)
-        for size in range(len(hyps) + 1):
-            for chosen in combinations(hyps, size):
+        yield PAP(vars, hyps, mans, theory)
+
+
+def test_is_solution_matches_enumeration():
+    for pap in _seeded_paps():
+        for size in range(len(pap.hypotheses) + 1):
+            for chosen in combinations(pap.hypotheses, size):
                 for semantics in (CLOSED_WORLD, POSITIVE_UNITS):
                     assert is_solution(pap, chosen, semantics) == \
                         _entailed_by_enumeration(pap, chosen, semantics), (pap, chosen, semantics)
+
+
+def _relevance_by_subset_search(pap, hypothesis, semantics):
+    """Reference: the least size with a solution, each subset checked on its own."""
+    for size in range(len(pap.hypotheses) + 1):
+        found = [s for s in combinations(pap.hypotheses, size) if is_solution(pap, s, semantics)]
+        if found:
+            return any(hypothesis in s for s in found)
+    return None
+
+
+def test_relevance_matches_subset_search():
+    outcomes = set()
+    for pap in _seeded_paps():
+        for hypothesis in pap.hypotheses:
+            for semantics in (CLOSED_WORLD, POSITIVE_UNITS):
+                want = _relevance_by_subset_search(pap, hypothesis, semantics)
+                outcomes.add((semantics, want))
+                if want is None:
+                    with pytest.raises(NoSolutionError):
+                        relevance_bruteforce(pap, hypothesis, semantics)
+                else:
+                    assert relevance_bruteforce(pap, hypothesis, semantics) == want, \
+                        (pap, hypothesis, semantics)
+    assert outcomes == {(sem, want) for sem in (CLOSED_WORLD, POSITIVE_UNITS)
+                        for want in (True, False, None)}
 
 
 def test_hypothesis_guard(tmp_path, capsys):

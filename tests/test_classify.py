@@ -1,5 +1,7 @@
 import random
-from itertools import product
+from itertools import combinations, product
+
+import numpy as np
 
 import pytest
 
@@ -50,6 +52,70 @@ def test_table_properties_match_the_closure_oracle():
         assert props["horn"] == closed_under(rel, AND2), rel
         assert props["dual"] == closed_under(rel, OR2_OP), rel
         assert props["bij"] == closed_under(rel, MAJ3), rel
+
+
+def _saturated_models_by_loops(rel: Relation, kinds, width=None) -> np.ndarray:
+    """Reference clause saturation: one template instance at a time."""
+    k = rel.arity
+    space = np.arange(1 << k)
+    cols = np.array([(space >> (k - 1 - i)) & 1 for i in range(k)], dtype=bool)
+    tup = cols[:, np.flatnonzero(rel.table())]
+    acc = np.ones(1 << k, dtype=bool)
+    if "T" in kinds:
+        for i in range(k):
+            if tup[i].all():
+                acc &= cols[i]
+    if "F" in kinds:
+        for i in range(k):
+            if not tup[i].any():
+                acc &= ~cols[i]
+    if "eq" in kinds:
+        for i, j in combinations(range(k), 2):
+            if (tup[i] == tup[j]).all():
+                acc &= ~(cols[i] ^ cols[j])
+    if "neq" in kinds:
+        for i, j in combinations(range(k), 2):
+            if (tup[i] != tup[j]).all():
+                acc &= cols[i] ^ cols[j]
+    if "impl" in kinds:
+        for i in range(k):
+            for j in range(k):
+                if i != j and (tup[i] <= tup[j]).all():
+                    acc &= ~cols[i] | cols[j]
+    if "pos" in kinds:
+        for w in range(1, (width or k) + 1):
+            for S in combinations(range(k), w):
+                if tup[list(S)].any(axis=0).all():
+                    acc &= cols[list(S)].any(axis=0)
+    if "neg" in kinds:
+        for w in range(1, (width or k) + 1):
+            for S in combinations(range(k), w):
+                if (~tup[list(S)]).any(axis=0).all():
+                    acc &= (~cols[list(S)]).any(axis=0)
+    return acc
+
+
+def test_saturated_models_matches_per_template_loops():
+    """Every relation of arity <= 3 and seeded ones of arity 4-10 (empty and
+    full ones included), under each single kind, every IS template set and
+    the bijunctive set, at widths None, 1, 2, 3 and arity + 2."""
+    rels = [Relation("r", k, rows) for k in (1, 2, 3) for rows in range(1 << (1 << k))]
+    rng = random.Random(91)
+    for k in range(4, 11):
+        full = (1 << (1 << k)) - 1
+        rels += [Relation("r", k, 0), Relation("r", k, full)]
+        rels += [Relation("r", k, rng.getrandbits(1 << k)) for _ in range(2)]
+        # sparse ones, so that many templates are implied
+        rels += [Relation("r", k, sum(1 << rng.randrange(1 << k) for _ in range(rng.randint(1, 4))))
+                 for _ in range(2)]
+    kind_sets = [(kind,) for kind in ("T", "F", "eq", "neq", "impl", "pos", "neg")]
+    kind_sets += list(IS_TEMPLATES.values()) + [("impl", "pos", "neg")]
+    for rel in rels:
+        for kinds in kind_sets:
+            for width in (None, 1, 2, 3, rel.arity + 2):
+                got = saturated_models(rel, kinds, width)
+                want = _saturated_models_by_loops(rel, kinds, width)
+                assert got.dtype == want.dtype and (got == want).all(), (rel, kinds, width)
 
 
 def test_least_width_matches_saturation_at_every_width():

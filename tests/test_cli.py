@@ -33,6 +33,23 @@ def test_classify_or2(or2_files, capsys):
     assert "coclone=IS^2_0" in out
 
 
+def test_parser_reuse_is_safe(or2_files, capsys):
+    """One parser serves every call of a process: a usage error leaves no
+    state behind, and argparse writes to the stderr of the moment."""
+    classify = ["classify", str(or2_files / "lang.rel")]
+    assert run(classify) == 0
+    first = capsys.readouterr().out
+    assert run(["nonsense"]) == 2
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+    assert run(["abduce", str(or2_files / "p.pap")]) == 2
+    assert "the following arguments are required: --hyp" in capsys.readouterr().err
+    assert run(classify) == 0
+    assert capsys.readouterr().out == first
+    for _ in range(2):
+        assert run(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: cardminsat")
+
+
 def test_solve_with_query_from_file(or2_files, capsys):
     assert run(["solve", str(or2_files / "f.cms")]) == 0
     out = capsys.readouterr().out

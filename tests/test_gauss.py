@@ -30,6 +30,27 @@ def test_repetition_cancels():
     assert not solver.satisfiable
 
 
+def test_copy_is_independent():
+    solver = GF2Solver()
+    solver.add(("x", "y", "z"), 1)  # z = 1 + x + y: x and y take free slots
+    solver.add(("u", "v"), 0)
+    state = (dict(solver.mask), solver.free_slot_bits(), solver.satisfiable)
+    retired = solver.copy()
+    retired.add(("w", "x"), 0)      # w joins the users of x's slot
+    retired.add(("y", "z"), 0)      # determines nothing new: retires x's slot
+    assert len(retired.free_slot_bits()) == len(state[1]) - 1
+    assert retired.value_mask("x") == retired.value_mask("w") == 1
+    broken = solver.copy()
+    broken.add(("x", "y", "z"), 0)  # contradicts the first equation
+    assert not broken.satisfiable
+    assert (solver.mask, solver.free_slot_bits(), solver.satisfiable) == state
+    # the original folds on without the copies' variables, the copies without its units
+    solver.add(("x",), 1)
+    solver.add(("u",), 1)
+    assert solver.solution() == {"x": 1, "y": 0, "z": 0, "u": 1, "v": 1}
+    assert retired.value_mask("u") == broken.value_mask("u") == state[0]["u"]
+
+
 def test_gauss_agrees_with_enumeration_on_random_systems():
     rng = random.Random(9)
     for _ in range(150):
