@@ -13,7 +13,7 @@ from .classify import (AND2, BoolOp, MAJ3, NOT1, OR2, PropertyFingerprint, close
                        conjunction_definability, fictitious_coordinates, fingerprint,
                        is_irredundant, pp_membership)
 from .coclones import (Bucket, ClassificationVerdict, CoCloneId, all_labels, bucket_for_coclone,
-                       classify_cms, cms_bucket, coclone, coclone_leq, format_verdict,
+                       classify_cms, cms_bucket, coclone_leq, format_verdict,
                        identify_coclone, language_in_coclone, relation_in_coclone, weak_base)
 from .errors import (CardMinSatError, GuardError, NoSolutionError, ParseError, PreconditionError)
 from .fileio import (FormulaFile, load_formula_file, load_language, parse_formula_file,

@@ -99,8 +99,7 @@ def is_solution(pap: PAP, chosen: Iterable[str], semantics: str = CLOSED_WORLD) 
     return _explains(pap, _theory_solver(pap), chosen, semantics)
 
 
-def relevance_bruteforce(pap: PAP, hypothesis: str, semantics: str = CLOSED_WORLD,
-                         max_hypotheses: int = VAR_GUARD) -> bool:
+def relevance_bruteforce(pap: PAP, hypothesis: str, semantics: str = CLOSED_WORLD) -> bool:
     """Does some minimum-cardinality solution contain the hypothesis?
 
     Searches the hypothesis subsets by size, so the number of hypotheses is
@@ -109,9 +108,9 @@ def relevance_bruteforce(pap: PAP, hypothesis: str, semantics: str = CLOSED_WORL
     _check_semantics(semantics)
     if hypothesis not in pap.hypotheses:
         raise PreconditionError(f"{hypothesis!r} is not a hypothesis")
-    if len(pap.hypotheses) > max_hypotheses:
+    if len(pap.hypotheses) > VAR_GUARD:
         raise GuardError(f"{len(pap.hypotheses)} hypotheses exceed the subset-search guard "
-                         f"({max_hypotheses})")
+                         f"({VAR_GUARD})")
     theory = _theory_solver(pap)
     for size in range(len(pap.hypotheses) + 1):
         found = [s for s in map(frozenset, combinations(pap.hypotheses, size))

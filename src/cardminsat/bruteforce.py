@@ -88,18 +88,15 @@ def cms_star_bruteforce(instance: CmsStarInstance, max_vars: int = DEFAULT_MAX_V
     return answer.verdict and answer.min_weight is not None and answer.min_weight <= instance.bound
 
 
-def frozen_vars(formula: Formula, max_vars: int = DEFAULT_MAX_VARS, method: str = "auto") -> dict[str, int]:
+def frozen_vars(formula: Formula, max_vars: int = DEFAULT_MAX_VARS) -> dict[str, int]:
     """Variables taking one fixed value across all models, with that value.
 
-    ``method`` selects enumeration ("enumerate"), satisfiability probing
-    ("probe"), or enumeration with probing beyond the guard ("auto").
-    The formula must be satisfiable.
+    Enumerates the models, or probes satisfiability when the universe is
+    beyond ``max_vars``.  The formula must be satisfiable.
     """
-    if method not in ("auto", "enumerate", "probe"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "probe" or (method == "auto" and formula.num_vars > max_vars):
+    if formula.num_vars > max_vars:
         return search.frozen_by_probing(formula)
-    n = _check_guard(formula, max_vars)
+    n = formula.num_vars
     ones = np.ones(n, dtype=bool)
     zeros = np.ones(n, dtype=bool)
     seen = False

@@ -49,7 +49,7 @@ NOT1 = op_from_function("not", 1, lambda x: 1 - x)
 MAJ3 = op_from_function("maj", 3, lambda x, y, z: (x + y + z) >= 2)
 
 
-def closed_under(rel: Relation, op: BoolOp, guard: int = CLOSURE_GUARD) -> bool:
+def closed_under(rel: Relation, op: BoolOp) -> bool:
     """Does applying ``op`` component-wise to any tuples of ``rel`` stay in
     ``rel``?  Guarded at |R|**arity combinations."""
     r = rel.num_tuples
@@ -57,8 +57,8 @@ def closed_under(rel: Relation, op: BoolOp, guard: int = CLOSURE_GUARD) -> bool:
         return True
     m = op.arity
     total = r**m
-    if total > guard:
-        raise GuardError(f"closure check needs {r}**{m} combinations, over guard {guard}")
+    if total > CLOSURE_GUARD:
+        raise GuardError(f"closure check needs {r}**{m} combinations, over guard {CLOSURE_GUARD}")
     bits = np.array(rel.tuples(), dtype=np.uint32)  # (r, k)
     table = np.fromiter(((op.table >> i) & 1 for i in range(1 << m)),
                         dtype=np.uint32, count=1 << m)
@@ -146,6 +146,19 @@ def _join_closed(table: np.ndarray) -> bool:
     size = len(table)
     joins = _subset_fold(np.where(table, np.arange(size) | size, 0), np.bitwise_or)
     return bool(table[joins[joins >= size] - size].all())
+
+
+# Clause templates of the bounded-width IS chains (equality is always allowed).
+IS_TEMPLATES: dict[str, tuple[str, ...]] = {
+    "IS0": ("eq", "pos"),
+    "IS02": ("eq", "F", "pos"),
+    "IS01": ("eq", "impl", "pos"),
+    "IS00": ("eq", "F", "impl", "pos"),
+    "IS1": ("eq", "neg"),
+    "IS12": ("eq", "T", "neg"),
+    "IS11": ("eq", "impl", "neg"),
+    "IS10": ("eq", "T", "impl", "neg"),
+}
 
 
 @lru_cache(maxsize=4096)
@@ -251,8 +264,8 @@ def fingerprint(language: ConstraintLanguage) -> PropertyFingerprint:
         bijunctive=bij,
         affine=affine,
         width2_affine=affine and bij,
-        pos_width=_width_flags(language, ("eq", "F", "impl", "pos")),
-        neg_width=_width_flags(language, ("eq", "T", "impl", "neg")),
+        pos_width=_width_flags(language, IS_TEMPLATES["IS00"]),
+        neg_width=_width_flags(language, IS_TEMPLATES["IS10"]),
     )
 
 

@@ -4,8 +4,10 @@ registry.
 Membership of a relation in a labeled co-clone is decided either by closure
 properties (Horn = AND-closed, affine = XOR-definable, ...) or, for the
 bounded-width IS chains, by the least clause width of the chain's template,
-all read off the relation's membership table.  The containment order among
-the labels is hardcoded static data; the test suite revalidates it against
+all read off the relation's membership table.  The containment order and
+each label's tractability bucket are derived from two tables: the closure
+properties of each property-based label and the clause templates of the
+labels that clauses generate.  The test suite revalidates the order against
 the membership tests via the weak bases.
 """
 
@@ -15,8 +17,10 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import Callable
 
-from .classify import PropertyFingerprint, fingerprint, least_width, relation_properties
+from .classify import (IS_TEMPLATES, PropertyFingerprint, fingerprint, least_width,
+                       relation_properties)
 from .errors import CardMinSatError, GuardError
 from .relations import MAX_ARITY, ConstraintLanguage, Relation, build_named_relation
 
@@ -58,63 +62,10 @@ class CoCloneId:
         return f"IS^{self.width}_{self.tag[2:]}"
 
 
-def coclone(tag: str, width: int | None = None) -> CoCloneId:
-    return CoCloneId(tag, width)
+# --- the lattice ----------------------------------------------------------
 
-
-# --- membership --------------------------------------------------------
-
-# Minimal property sets characterizing the property-based labels.
-REQUIRED_PROPS: dict[str, tuple[str, ...]] = {
-    "II2": (), "II0": ("zero",), "II1": ("one",), "II": ("zero", "one"),
-    "IN2": ("comp",), "IN": ("comp", "zero"),
-    "IE2": ("horn",), "IE1": ("horn", "one"), "IE0": ("horn", "zero"), "IE": ("horn", "zero", "one"),
-    "IV2": ("dual",), "IV1": ("dual", "one"), "IV0": ("dual", "zero"), "IV": ("dual", "zero", "one"),
-    "IL2": ("affine",), "IL1": ("affine", "one"), "IL0": ("affine", "zero"),
-    "IL": ("affine", "zero", "one"), "IL3": ("affine", "comp"),
-    "ID2": ("bij",), "ID1": ("bij", "affine"), "ID": ("bij", "comp"),
-    "IM2": ("horn", "dual"), "IM1": ("horn", "dual", "one"), "IM0": ("horn", "dual", "zero"),
-    "IM": ("horn", "dual", "zero", "one"),
-    "IR2": ("horn", "affine"), "IR1": ("horn", "affine", "one"), "IR0": ("horn", "affine", "zero"),
-    "IBF": ("horn", "comp"),
-}
-
-# Clause templates of the bounded-width chains (equality is always allowed).
-IS_TEMPLATES: dict[str, tuple[str, ...]] = {
-    "IS0": ("eq", "pos"),
-    "IS02": ("eq", "F", "pos"),
-    "IS01": ("eq", "impl", "pos"),
-    "IS00": ("eq", "F", "impl", "pos"),
-    "IS1": ("eq", "neg"),
-    "IS12": ("eq", "T", "neg"),
-    "IS11": ("eq", "impl", "neg"),
-    "IS10": ("eq", "T", "impl", "neg"),
-}
-
-
-@lru_cache(maxsize=4096)
-def _is_member(rel: Relation, tag: str, width: int | None) -> bool:
-    if rel.rows == 0:
-        return True  # the empty relation lies in every co-clone
-    if tag in IS_TEMPLATES:
-        least = least_width(rel, IS_TEMPLATES[tag])
-        return least is not None and least <= width
-    props = relation_properties(rel)
-    return all(props[p] for p in REQUIRED_PROPS[tag])
-
-
-def relation_in_coclone(rel: Relation, c: CoCloneId) -> bool:
-    return _is_member(rel, c.tag, c.width)
-
-
-def language_in_coclone(language: ConstraintLanguage, c: CoCloneId) -> bool:
-    return all(relation_in_coclone(r, c) for r in language)
-
-
-# --- containment order --------------------------------------------------
-
-# Implication-closed property sets; A <= B iff closed(B) is a subset of
-# closed(A).  (More properties = smaller co-clone.)
+# Implication-closed property sets of the property-based labels.  A relation
+# lies in such a label iff it has each of the label's properties.
 _CLOSED_PROPS: dict[str, frozenset[str]] = {k: frozenset(v) for k, v in {
     "II2": (), "II0": ("zero",), "II1": ("one",), "II": ("zero", "one"),
     "IN2": ("comp",), "IN": ("comp", "zero", "one"),
@@ -130,54 +81,74 @@ _CLOSED_PROPS: dict[str, frozenset[str]] = {k: frozenset(v) for k, v in {
     "IBF": ("horn", "dual", "bij", "affine", "comp", "zero", "one"),
 }.items()}
 
-# IS-family order within a side (width ordered separately).
-_IS_FAMILY_UP: dict[str, frozenset[str]] = {
-    "IS0": frozenset({"IS0", "IS01", "IS02", "IS00"}),
-    "IS01": frozenset({"IS01", "IS00"}),
-    "IS02": frozenset({"IS02", "IS00"}),
-    "IS00": frozenset({"IS00"}),
-    "IS1": frozenset({"IS1", "IS11", "IS12", "IS10"}),
-    "IS11": frozenset({"IS11", "IS10"}),
-    "IS12": frozenset({"IS12", "IS10"}),
-    "IS10": frozenset({"IS10"}),
-}
+# Clause templates of the labels that clauses alone generate.
+_CLAUSE_TEMPLATES: dict[str, frozenset[str]] = {k: frozenset(v) for k, v in {
+    "IBF": ("eq",), "IR0": ("eq", "F"), "IR1": ("eq", "T"), "IR2": ("eq", "F", "T"),
+    "IM": ("eq", "impl"), "IM0": ("eq", "impl", "F"), "IM1": ("eq", "impl", "T"),
+    "IM2": ("eq", "impl", "F", "T"),
+}.items()}
 
-# Property-based labels above / below each IS family (any width; ID2 is
-# additionally above every width-2 family).
-_IS_UPPER: dict[str, frozenset[str]] = {
-    "IS0": frozenset({"IV2", "IV1", "II1", "II2"}),
-    "IS01": frozenset({"IV2", "IV1", "II1", "II2"}),
-    "IS02": frozenset({"IV2", "II2"}),
-    "IS00": frozenset({"IV2", "II2"}),
-    "IS1": frozenset({"IE2", "IE0", "II0", "II2"}),
-    "IS11": frozenset({"IE2", "IE0", "II0", "II2"}),
-    "IS12": frozenset({"IE2", "II2"}),
-    "IS10": frozenset({"IE2", "II2"}),
-}
 
-_IS_LOWER: dict[str, frozenset[str]] = {
-    "IS0": frozenset({"IBF", "IR1"}),
-    "IS01": frozenset({"IBF", "IR1", "IM", "IM1"}),
-    "IS02": frozenset({"IBF", "IR0", "IR1", "IR2"}),
-    "IS00": frozenset({"IBF", "IR0", "IR1", "IR2", "IM", "IM0", "IM1", "IM2"}),
-    "IS1": frozenset({"IBF", "IR0"}),
-    "IS11": frozenset({"IBF", "IR0", "IM", "IM0"}),
-    "IS12": frozenset({"IBF", "IR0", "IR1", "IR2"}),
-    "IS10": frozenset({"IBF", "IR0", "IR1", "IR2", "IM", "IM0", "IM1", "IM2"}),
-}
+def _props(c: CoCloneId) -> frozenset[str]:
+    """The closure properties every relation of the label has.  A pos chain
+    is dual-Horn, and 1-valid unless F is among its templates; a neg chain
+    is Horn, and 0-valid unless T is.  Width 2 adds bijunctive."""
+    if c.tag not in IS_TEMPLATES:
+        return _CLOSED_PROPS[c.tag]
+    kinds = IS_TEMPLATES[c.tag]
+    closure, constant, breaker = ("dual", "one", "F") if "pos" in kinds else ("horn", "zero", "T")
+    has = {closure} if breaker in kinds else {closure, constant}
+    if c.width == 2:
+        has.add("bij")
+    return frozenset(has)
+
+
+def _templates(c: CoCloneId) -> frozenset[str] | None:
+    """The clause templates generating the label, or None when clauses
+    alone do not generate it.  An IS chain adds its side's unit clause."""
+    if c.tag in IS_TEMPLATES:
+        kinds = IS_TEMPLATES[c.tag]
+        return frozenset(kinds) | {"T" if "pos" in kinds else "F"}
+    return _CLAUSE_TEMPLATES.get(c.tag)
+
+
+# --- membership --------------------------------------------------------
+
+
+@lru_cache(maxsize=4096)
+def _is_member(rel: Relation, tag: str, width: int | None) -> bool:
+    if rel.rows == 0:
+        return True  # the empty relation lies in every co-clone
+    if tag in IS_TEMPLATES:
+        least = least_width(rel, IS_TEMPLATES[tag])
+        return least is not None and least <= width
+    props = relation_properties(rel)
+    return all(props[p] for p in _CLOSED_PROPS[tag])
+
+
+def relation_in_coclone(rel: Relation, c: CoCloneId) -> bool:
+    return _is_member(rel, c.tag, c.width)
+
+
+def language_in_coclone(language: ConstraintLanguage, c: CoCloneId) -> bool:
+    return all(relation_in_coclone(r, c) for r in language)
+
+
+# --- containment order --------------------------------------------------
 
 
 def coclone_leq(a: CoCloneId, b: CoCloneId) -> bool:
-    """Containment a <= b in the co-clone lattice (hardcoded order)."""
-    a_is, b_is = a.tag in IS_TAGS, b.tag in IS_TAGS
-    if not a_is and not b_is:
-        return _CLOSED_PROPS[b.tag] <= _CLOSED_PROPS[a.tag]
-    if a_is and b_is:
-        assert a.width is not None and b.width is not None
-        return b.tag in _IS_FAMILY_UP[a.tag] and a.width <= b.width
-    if a_is:
-        return b.tag in _IS_UPPER[a.tag] or (b.tag == "ID2" and a.width == 2)
-    return a.tag in _IS_LOWER[b.tag]
+    """Containment a <= b in the co-clone lattice.
+
+    Below a property-based label lie exactly the labels with all its
+    properties (more properties = smaller co-clone).  Below an IS label lie
+    exactly the labels generated by a subset of its clause templates at no
+    greater width.
+    """
+    if b.tag not in IS_TEMPLATES:
+        return _props(b) <= _props(a)
+    below = _templates(a)
+    return below is not None and below <= _templates(b) and (a.width or 0) <= b.width
 
 
 # --- classification buckets ---------------------------------------------
@@ -190,23 +161,23 @@ class Bucket(enum.Enum):
     THETA2_COMPLETE = "Theta2Complete"
 
 
-_BUCKET_OF_TAG: dict[str, Bucket] = {}
-for _t in ("IBF", "IR0", "IM", "IM0", "IL", "IL0", "IV", "IV0", "IE", "IE0",
-           "IN", "II", "II0", "IS1", "IS11"):
-    _BUCKET_OF_TAG[_t] = Bucket.TRIVIAL_0VALID
-for _t in ("IR1", "IR2", "IM1", "IM2", "IE1", "IE2", "IS12", "IS10"):
-    _BUCKET_OF_TAG[_t] = Bucket.POLY_HORN
-for _t in ("ID", "ID1"):
-    _BUCKET_OF_TAG[_t] = Bucket.POLY_WIDTH2_AFFINE
-for _t in ("II2", "II1", "IN2", "IL1", "IL2", "IL3", "IV1", "IV2", "ID2",
-           "IS0", "IS01", "IS02", "IS00"):
-    _BUCKET_OF_TAG[_t] = Bucket.THETA2_COMPLETE
-del _t
+def _bucket(has: Callable[[str], bool]) -> Bucket:
+    """0-valid is trivial (the answer is always no, the all-zero model being
+    the unique minimum); otherwise Horn and width-2-affine (affine and
+    bijunctive) are polynomial and everything else is complete for
+    polynomial time with logarithmically many NP-oracle calls."""
+    if has("zero"):
+        return Bucket.TRIVIAL_0VALID
+    if has("horn"):
+        return Bucket.POLY_HORN
+    if has("affine") and has("bij"):
+        return Bucket.POLY_WIDTH2_AFFINE
+    return Bucket.THETA2_COMPLETE
 
 
 def bucket_for_coclone(c: CoCloneId) -> Bucket:
     """The tractability bucket a co-clone's lattice position dictates."""
-    return _BUCKET_OF_TAG[c.tag]
+    return _bucket(_props(c).__contains__)
 
 
 @dataclass(frozen=True)
@@ -217,25 +188,10 @@ class ClassificationVerdict:
 
 
 def cms_bucket(language: ConstraintLanguage) -> Bucket:
-    """The tractability bucket of the minimum-weight query problem.
-
-    0-valid languages are trivial (the answer is always no, the all-zero
-    model being the unique minimum); otherwise Horn and width-2-affine
-    (affine and bijunctive) languages are polynomial and everything else is
-    complete for polynomial time with logarithmically many NP-oracle calls.
-    """
+    """The tractability bucket of the minimum-weight query problem: the
+    bucket of the properties every relation of the language has."""
     props = [relation_properties(r) for r in language]
-
-    def every(key: str) -> bool:
-        return all(p[key] for p in props)
-
-    if every("zero"):
-        return Bucket.TRIVIAL_0VALID
-    if every("horn"):
-        return Bucket.POLY_HORN
-    if every("affine") and every("bij"):
-        return Bucket.POLY_WIDTH2_AFFINE
-    return Bucket.THETA2_COMPLETE
+    return _bucket(lambda key: all(p[key] for p in props))
 
 
 def classify_cms(language: ConstraintLanguage) -> ClassificationVerdict:

@@ -270,8 +270,7 @@ def _parity_vectors(masks: dict[int, int], dim_of_bit: dict[int, int], dim: int)
     return total
 
 
-def cms_affine(formula: Formula, query: str,
-               dim_guard: int = DEFAULT_DIM_GUARD) -> tuple[bool, int | None, bool] | None:
+def cms_affine(formula: Formula, query: str) -> tuple[bool, int | None, bool] | None:
     """Exact (satisfiable, min_weight, query-in-some-min-model) for a formula
     built from affine relations only; None when some relation is not affine.
 
@@ -286,8 +285,8 @@ def cms_affine(formula: Formula, query: str,
         return (False, None, False)
     free = solver.free_slot_bits()
     dim = len(free)
-    if dim > dim_guard:
-        raise GuardError(f"solution space dimension {dim} exceeds guard {dim_guard}")
+    if dim > DEFAULT_DIM_GUARD:
+        raise GuardError(f"solution space dimension {dim} exceeds guard {DEFAULT_DIM_GUARD}")
     dim_of_bit = {b: i for i, b in enumerate(free)}
     masks = Counter(map(solver.mask.get, formula.universe))
     masks.pop(None, None)  # mentioned by no check: constant 0, no weight

@@ -16,6 +16,7 @@ from cardminsat import (Bucket, CmsStarInstance, CoCloneId, ConstraintLanguage, 
                         reduce_xor3xor2_to_xor3, reduce_xor4_to_xor3_xor2, is_solution,
                         reduce_cms_xor3_to_relevance, relevance_bruteforce, solve_generic,
                         solve_horn, solve_width2affine, weak_base)
+from cardminsat.search import frozen_by_probing
 
 from helpers import (EQ, F, IMPL, NAE3, NAND2, NEQ, OR2, T, XOR2, XOR3, XOR4,
                      random_clause_formula, reduction_verdict)
@@ -289,7 +290,7 @@ def test_criterion_5_frozen_gadget_sets():
             if not enumerate_models(f) or frozen_vars(f) != {}:
                 continue  # keep sources satisfiable with nothing frozen
             out = reduce_to_weakbase(cc, f, f.universe[0])
-            frozen = frozen_vars(out.formula, method="probe")
+            frozen = frozen_by_probing(out.formula)
             assert frozen == {"_" + k: v for k, v in expected_roles.items()}, tag
             done += 1
     _report(5, "frozen gadget sets, 50 instances per gadget", started)

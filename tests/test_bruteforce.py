@@ -6,6 +6,7 @@ from cardminsat import (CmsStarInstance, Formula, GuardError, PreconditionError,
                         cms_star_bruteforce, constraint, enumerate_models, find_model,
                         frozen_vars)
 from cardminsat.coclones import CoCloneId, weak_base
+from cardminsat.search import frozen_by_probing
 
 from helpers import (F, IMPL, NAE3, NAND2, NEQ, OR2, T, XOR3, random_clause_formula,
                      random_mixed_formula)
@@ -123,7 +124,7 @@ def test_frozen_vars_unsat_is_an_error():
     with pytest.raises(PreconditionError):
         frozen_vars(f)
     with pytest.raises(PreconditionError):
-        frozen_vars(f, method="probe")
+        frozen_by_probing(f)
 
 
 def test_frozen_vars_probe_agrees_with_enumeration():
@@ -132,10 +133,10 @@ def test_frozen_vars_probe_agrees_with_enumeration():
         f = random_clause_formula(rng, XOR3, 5, rng.randint(1, 4), distinct=False)
         if not enumerate_models(f):
             continue
-        assert frozen_vars(f, method="probe") == frozen_vars(f, method="enumerate")
+        assert frozen_by_probing(f) == frozen_vars(f)
     # mixed clauses over a universe wider than the occurring variables
     for _ in range(120):
         f = random_mixed_formula(rng, (OR2, NAND2, NAE3, IMPL, T, F), 7, rng.randint(1, 7))
         if not enumerate_models(f):
             continue
-        assert frozen_vars(f, method="probe") == frozen_vars(f, method="enumerate")
+        assert frozen_by_probing(f) == frozen_vars(f)

@@ -5,9 +5,10 @@ import pytest
 
 from cardminsat import (CmsStarInstance, CoCloneId, Formula, PreconditionError, cms_bruteforce,
                         cms_star_bruteforce, compose_chain, constraint, enumerate_models,
-                        frozen_vars, lift_model, reduce_nae3_to_xor3_star, reduce_or2_to_nae3,
+                        lift_model, reduce_nae3_to_xor3_star, reduce_or2_to_nae3,
                         reduce_to_weakbase, reduce_xor3_star_to_xor4, reduce_xor3xor2_to_xor3,
                         reduce_xor4_to_xor3_xor2, restrict_model)
+from cardminsat.search import frozen_by_probing
 
 from helpers import (NAE3, OR2, XOR2, XOR3, XOR4, exact_verdict, random_clause_formula,
                      reduction_verdict)
@@ -61,7 +62,7 @@ def test_step2_spec_example_counts():
 def test_step2_truth_variable_frozen_and_group_weights():
     f = Formula.of([constraint(NAE3, "x", "y", "z")])
     out = reduce_nae3_to_xor3_star(f, "x")
-    frozen = frozen_vars(out.formula, method="probe")
+    frozen = frozen_by_probing(out.formula)
     t = next(v for v in out.formula.universe if v == "_t")
     assert frozen.get(t) == 1
     n_big = out.stats.boost_n
@@ -218,8 +219,8 @@ def test_weakbase_gadget_preserves_and_freezes(tag):
         if src.verdict and out.stats.declared_weight_offset is not None:
             lifted = lift_model(out, src.witness)
             assert lifted.weight == src.witness.weight + out.stats.declared_weight_offset
-        if frozen_vars(f, method="probe") == {}:
-            frozen = frozen_vars(out.formula, method="probe")
+        if frozen_by_probing(f) == {}:
+            frozen = frozen_by_probing(out.formula)
             expected = {"_" + k: v for k, v in WEAKBASE_FROZEN[tag].items()}
             assert frozen == expected, (tag, frozen)
 
