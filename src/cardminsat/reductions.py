@@ -6,21 +6,21 @@ instances.  Boost blocks ("give a variable weight N") always use an N that
 exceeds every competing model weight, so minimum-weight models never pay
 them.  Fresh variables use a reserved prefix of underscores chosen so they
 cannot collide with source variables, which keeps chained outputs
-reproducible byte for byte.
+reproducible byte for byte.  An output is plain data; `lift_model` lifts a
+source model by searching the output's formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
 from operator import itemgetter
-from typing import Callable
 
 from .coclones import CoCloneId, weak_base
 from .errors import PreconditionError
 from .formulas import Assignment, CmsStarInstance, Constraint, Formula, fresh_prefix, require_query
 from .gauss import formula_system
 from .relations import Relation, build_named_relation
+from .search import find_model
 
 _OR2 = build_named_relation("OR", 2)
 _NAE3 = build_named_relation("NAE3")
@@ -48,30 +48,32 @@ class ReductionOutput:
     bound: int | None
     stats: ReductionStats
     source: Formula
-    lifter: Callable[[dict[str, int]], dict[str, int]] | None
 
 
 def lift_model(red: ReductionOutput, model: Assignment) -> Assignment:
-    """Extend a source model to a model of the target.
+    """Extend a source model to a model of the target, by one rule for every
+    reduction: the lexicographically least minimum-weight extension.
 
-    The extension is unique where the gadget determines the fresh variables;
-    where it does not (complementary boost pairs), the lexicographically
-    least minimum-weight extension is returned.
+    Each reduction is sound because every source model extends to a target
+    model of the source weight plus the declared offset and to none lighter,
+    so the least extension within that weight is the one searched for.
     """
-    if red.lifter is None:
+    offset = red.stats.declared_weight_offset
+    if offset is None:
         raise PreconditionError("this output is the fixed placeholder for an unsatisfiable source")
     if model.vars != red.source.universe:
         raise PreconditionError("assignment is not over the source universe")
     values = model.as_dict()
     if not red.source.evaluate(values):
         raise PreconditionError("assignment is not a model of the source formula")
-    values.update(red.lifter(values))
-    return Assignment.from_mapping(red.formula.universe, values)
+    lifted = find_model(red.formula, model.weight + offset, values)
+    assert lifted is not None, "the declared weight offset admits no extension"
+    return lifted
 
 
 def restrict_model(red: ReductionOutput, model: Assignment) -> Assignment:
     """Drop the fresh variables from a model of the target."""
-    if red.lifter is None:
+    if red.stats.declared_weight_offset is None:
         raise PreconditionError("this output is the fixed placeholder for an unsatisfiable source")
     if model.vars != red.formula.universe:
         raise PreconditionError("assignment is not over the target universe")
@@ -81,12 +83,8 @@ def restrict_model(red: ReductionOutput, model: Assignment) -> Assignment:
 
 
 def _require_fragment(formula: Formula, allowed: tuple[Relation, ...], what: str) -> None:
-    verdicts: dict[str, bool] = {}
-    for rel, _ in formula.constraints:
-        ok = verdicts.get(rel.name)
-        if ok is None:
-            ok = verdicts[rel.name] = any(rel.same_tuples(a) for a in allowed)
-        if not ok:
+    for rel in formula.relations():
+        if not any(rel.same_tuples(a) for a in allowed):
             raise PreconditionError(f"constraint over {rel.name} is outside the {what} fragment")
 
 
@@ -110,14 +108,8 @@ def reduce_or2_to_nae3(formula: Formula, query: str) -> ReductionOutput:
     cons.append(Constraint(_NAE3, (f, f, t)))
     cons.extend(Constraint(_NAE3, (fj, fj, t)) for fj in boosts)
     target = Formula.of(cons, formula.universe + (f, t) + boosts, validate=False)
-
-    def lifter(_values: dict[str, int]) -> dict[str, int]:
-        ext = {f: 0, t: 1}
-        ext.update({fj: 0 for fj in boosts})
-        return ext
-
     stats = ReductionStats(fresh_var_count=big_n + 2, boost_n=big_n, declared_weight_offset=1)
-    return ReductionOutput(target, query, None, stats, formula, lifter)
+    return ReductionOutput(target, query, None, stats, formula)
 
 
 def reduce_nae3_to_xor3_star(formula: Formula, query: str) -> ReductionOutput:
@@ -141,7 +133,6 @@ def reduce_nae3_to_xor3_star(formula: Formula, query: str) -> ReductionOutput:
     t = pre + "t"
     cons = [Constraint(_XOR3, (t, t, t))]
     fresh: list[str] = [t]
-    groups: list[tuple[str, str, str, tuple[str, ...]]] = []
     for i, (_, (x, y, z)) in enumerate(formula.constraints, start=1):
         for role, (u, v) in (("a", (x, y)), ("b", (x, z)), ("g", (y, z))):
             head = f"{pre}{role}{i}"
@@ -150,20 +141,10 @@ def reduce_nae3_to_xor3_star(formula: Formula, query: str) -> ReductionOutput:
             cons.extend(Constraint(_XOR3, (head, c, t)) for c in copies)
             fresh.append(head)
             fresh.extend(copies)
-            groups.append((head, u, v, copies))
     target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-
-    def lifter(values: dict[str, int]) -> dict[str, int]:
-        ext = {t: 1}
-        for head, u, v, copies in groups:
-            bit = 1 ^ values[u] ^ values[v]
-            ext[head] = bit
-            ext.update({c: bit for c in copies})
-        return ext
-
     stats = ReductionStats(fresh_var_count=len(fresh), boost_n=big_n,
                            declared_weight_offset=m * big_n + 1)
-    return ReductionOutput(target, query, bound, stats, formula, lifter)
+    return ReductionOutput(target, query, bound, stats, formula)
 
 
 def reduce_xor3_star_to_xor4(instance: CmsStarInstance) -> ReductionOutput:
@@ -184,12 +165,8 @@ def reduce_xor3_star_to_xor4(instance: CmsStarInstance) -> ReductionOutput:
     cons = [Constraint(_XOR4, (x, y, z, aj))
             for _, (x, y, z) in formula.constraints for aj in alphas]
     target = Formula.of(cons, formula.universe + alphas, validate=False)
-
-    def lifter(_values: dict[str, int]) -> dict[str, int]:
-        return {aj: 0 for aj in alphas}
-
     stats = ReductionStats(fresh_var_count=k, boost_n=None, declared_weight_offset=0)
-    return ReductionOutput(target, query, None, stats, formula, lifter)
+    return ReductionOutput(target, query, None, stats, formula)
 
 
 def reduce_xor4_to_xor3_xor2(formula: Formula, query: str) -> ReductionOutput:
@@ -206,17 +183,9 @@ def reduce_xor4_to_xor3_xor2(formula: Formula, query: str) -> ReductionOutput:
                  Constraint(_XOR2, (y, z)))
         fresh += (y, z)
     target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-
-    def lifter(values: dict[str, int]) -> dict[str, int]:
-        ext = {}
-        for i, (_, (x1, x2, x3, x4)) in enumerate(formula.constraints, start=1):
-            ext[f"{pre}y{i}"] = 1 ^ values[x1] ^ values[x2]
-            ext[f"{pre}z{i}"] = 1 ^ values[x3] ^ values[x4]
-        return ext
-
     p = formula.num_constraints
     stats = ReductionStats(fresh_var_count=2 * p, boost_n=None, declared_weight_offset=p)
-    return ReductionOutput(target, query, None, stats, formula, lifter)
+    return ReductionOutput(target, query, None, stats, formula)
 
 
 def reduce_xor3xor2_to_xor3(formula: Formula, query: str) -> ReductionOutput:
@@ -233,7 +202,7 @@ def reduce_xor3xor2_to_xor3(formula: Formula, query: str) -> ReductionOutput:
         y = pre + "y"
         target = Formula.of([Constraint(_XOR3, (y, query, query))], (query, y))
         stats = ReductionStats(fresh_var_count=1, boost_n=None, declared_weight_offset=None)
-        return ReductionOutput(target, query, None, stats, formula, None)
+        return ReductionOutput(target, query, None, stats, formula)
     n = formula.num_vars
     big_n = n + 1
     w, t = pre + "w", pre + "t"
@@ -243,14 +212,8 @@ def reduce_xor3xor2_to_xor3(formula: Formula, query: str) -> ReductionOutput:
     cons.append(Constraint(_XOR3, (t, t, t)))
     cons.extend(Constraint(_XOR3, (t, w, wj)) for wj in boosts)
     target = Formula.of(cons, formula.universe + (w, t) + boosts, validate=False)
-
-    def lifter(_values: dict[str, int]) -> dict[str, int]:
-        ext = {w: 0, t: 1}
-        ext.update({wj: 0 for wj in boosts})
-        return ext
-
     stats = ReductionStats(fresh_var_count=big_n + 2, boost_n=big_n, declared_weight_offset=1)
-    return ReductionOutput(target, query, None, stats, formula, lifter)
+    return ReductionOutput(target, query, None, stats, formula)
 
 
 # ---------------------------------------------------------------------------
@@ -295,32 +258,12 @@ _PAIR_GADGETS = {
 }
 
 
-def _fill_map(rel: Relation, main: list[str], xs_names: list[str],
-              roles: str) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Source bits -> bits of the heads, then of their complements, read off
-    the rows of ``rel`` that fit the main layout with f = 0 and t = 1."""
-    out: dict[tuple[int, ...], tuple[int, ...]] = {}
-    key_of = [main.index(x) for x in xs_names]
-    head_of = [main.index(r) for r in roles]
-    f_at, t_at = main.index("f"), main.index("t")
-    for row in rel.tuples():
-        if row[f_at] == 0 and row[t_at] == 1:
-            key = tuple(row[j] for j in key_of)
-            if key in out:
-                raise AssertionError(f"{rel.name}: fresh coordinates not determined for {key}")
-            heads = tuple(row[j] for j in head_of)
-            out[key] = heads + tuple(1 - b for b in heads)
-    return out
-
-
 def _wb_pair(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
     roles, main, pairs, boosted = _PAIR_GADGETS[c.tag]
-    main_coords = main.split()
-    xs_names = [s for s in main_coords if s[0] == "x"]
+    xs_names = [s for s in main.split() if s[0] == "x"]
     fresh_names = [*roles, *(r + "p" for r in roles)]
     symbols = ["f", "t", *xs_names, *fresh_names]
     getters = [itemgetter(*map(symbols.index, layout.split())) for layout in (main,) + pairs]
-    fill = _fill_map(rel, main_coords, xs_names, roles)
     pre = fresh_prefix(formula.universe)
     f, t = pre + "f", pre + "t"
     stems = [pre + s for s in fresh_names]
@@ -331,25 +274,15 @@ def _wb_pair(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reduc
             for (_, xs), names in zip(formula.constraints, names_of)
             for row in [(f, t, *xs, *names)] for get in getters]
     fresh += (f, t)
-    fixed = {f: 0, t: 1}
     big_n = n + p + 1 if boosted else None
     if big_n is not None:
         boosts = [f"{pre}f{j}" for j in range(1, big_n + 1)]
         cons += [Constraint(rel, (fj, fj, fj, fj, t, t, t, t)) for fj in [f, *boosts]]
         fresh += boosts
-        fixed.update(dict.fromkeys(boosts, 0))
     target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-
-    def lifter(values: dict[str, int]) -> dict[str, int]:
-        ext = dict(fixed)
-        bits = (fill[tuple(map(values.__getitem__, xs))] for _, xs in formula.constraints)
-        # after the n source variables the target universe lists each constraint's fresh names
-        ext.update(zip(islice(target.universe, n, None), chain.from_iterable(bits)))
-        return ext
-
     stats = ReductionStats(fresh_var_count=len(fresh), boost_n=big_n,
                            declared_weight_offset=len(roles) * p + 1)
-    return ReductionOutput(target, query, None, stats, formula, lifter)
+    return ReductionOutput(target, query, None, stats, formula)
 
 
 def _wb_ii1(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
@@ -359,33 +292,21 @@ def _wb_ii1(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reduct
     f, t = pre + "f", pre + "t"
     cons = []
     fresh: list[str] = []
-    ys: list[tuple[str, str, tuple[str, str]]] = []
     for i, (_, (x1, x2)) in enumerate(formula.constraints, start=1):
         y, z = f"{pre}y{i}", f"{pre}z{i}"
         cons.append(Constraint(rel, (x1, x2, y, t)))
         cons.append(Constraint(rel, (y, z, f, t)))
         fresh.extend((y, z))
-        ys.append((y, z, (x1, x2)))
     fresh.append(f)
-    pairs = tuple((f"{pre}u{j}", f"{pre}v{j}") for j in range(1, big_n + 1))
-    for f1, f2 in pairs:
+    for j in range(1, big_n + 1):
+        f1, f2 = f"{pre}u{j}", f"{pre}v{j}"
         cons.append(Constraint(rel, (f1, f2, f, t)))
         fresh.extend((f1, f2))
     fresh.append(t)
     target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-
-    def lifter(values: dict[str, int]) -> dict[str, int]:
-        ext = {f: 0, t: 1}
-        for y, z, (x1, x2) in ys:
-            ext[y] = values[x1] & values[x2]
-            ext[z] = 1 - ext[y]
-        for f1, f2 in pairs:
-            ext[f1], ext[f2] = 0, 1
-        return ext
-
     stats = ReductionStats(fresh_var_count=2 * p + 2 * big_n + 2, boost_n=big_n,
                            declared_weight_offset=p + big_n + 1)
-    return ReductionOutput(target, query, None, stats, formula, lifter)
+    return ReductionOutput(target, query, None, stats, formula)
 
 
 def _wb_il1(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
@@ -394,7 +315,7 @@ def _wb_il1(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reduct
     cons = [Constraint(rel, vs + (t,)) for _, vs in formula.constraints]
     target = Formula.of(cons, formula.universe + (t,), validate=False)
     stats = ReductionStats(fresh_var_count=1, boost_n=None, declared_weight_offset=1)
-    return ReductionOutput(target, query, None, stats, formula, lambda _v: {t: 1})
+    return ReductionOutput(target, query, None, stats, formula)
 
 
 def _wb_iv(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
@@ -404,7 +325,7 @@ def _wb_iv(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reducti
     cons = [Constraint(rel, (t, x1, x2, f, t)) for _, (x1, x2) in formula.constraints]
     target = Formula.of(cons, formula.universe + (f, t), validate=False)
     stats = ReductionStats(fresh_var_count=2, boost_n=None, declared_weight_offset=1)
-    return ReductionOutput(target, query, None, stats, formula, lambda _v: {f: 0, t: 1})
+    return ReductionOutput(target, query, None, stats, formula)
 
 
 def _wb_is(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
@@ -418,13 +339,9 @@ def _wb_is(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reducti
     uses_f = c.tag != "IS0"
     universe = formula.universe + ((f, t) if uses_f else (t,))
     target = Formula.of(cons, universe, validate=False)
-
-    def lifter(_values: dict[str, int]) -> dict[str, int]:
-        return {f: 0, t: 1} if uses_f else {t: 1}
-
     stats = ReductionStats(fresh_var_count=2 if uses_f else 1, boost_n=None,
                            declared_weight_offset=1)
-    return ReductionOutput(target, query, None, stats, formula, lifter)
+    return ReductionOutput(target, query, None, stats, formula)
 
 
 _WEAKBASE_BUILDERS = {

@@ -3,15 +3,15 @@ import random
 
 import pytest
 
-from cardminsat import (CmsStarInstance, CoCloneId, Formula, PreconditionError, cms_bruteforce,
-                        cms_star_bruteforce, compose_chain, constraint, enumerate_models,
-                        lift_model, reduce_nae3_to_xor3_star, reduce_or2_to_nae3,
-                        reduce_to_weakbase, reduce_xor3_star_to_xor4, reduce_xor3xor2_to_xor3,
-                        reduce_xor4_to_xor3_xor2, restrict_model)
+from cardminsat import (CmsStarInstance, CoCloneId, Formula, PreconditionError, Relation,
+                        cms_bruteforce, cms_star_bruteforce, compose_chain, constraint,
+                        enumerate_models, lift_model, reduce_nae3_to_xor3_star,
+                        reduce_or2_to_nae3, reduce_to_weakbase, reduce_xor3_star_to_xor4,
+                        reduce_xor3xor2_to_xor3, reduce_xor4_to_xor3_xor2, restrict_model)
 from cardminsat.search import frozen_by_probing
 
 from helpers import (NAE3, OR2, XOR2, XOR3, XOR4, exact_verdict, random_clause_formula,
-                     reduction_verdict)
+                     random_mixed_formula, reduction_verdict)
 
 
 def or2_formula(*pairs):
@@ -293,6 +293,26 @@ def test_reductions_are_byte_reproducible():
         assert a.bound == b.bound and a.stats == b.stats
 
 
+def test_fragment_check_sees_relations_that_share_a_name():
+    # an impostor carries a stock relation's name but other tuples; it must be refused
+    # even when a genuine relation of that name comes first
+    or2_impostor = Relation("OR2", 2, 0b0001)
+    f = Formula.of([constraint(OR2, "x", "y"), constraint(or2_impostor, "y", "z")])
+    assert cms_bruteforce(f, "x").min_weight == 1
+    runs = [lambda: reduce_or2_to_nae3(f, "x"), lambda: compose_chain(CoCloneId("IL2")).run(f, "x")]
+    runs += [lambda c=c: reduce_to_weakbase(c, f, "x")
+             for c in (CoCloneId("IV2"), CoCloneId("II2"), CoCloneId("IS0", 2))]
+    xor3_impostor = Relation("XOR3", 3, XOR3.rows ^ 0b11)
+    g = Formula.of([constraint(XOR3, "x", "y", "z"), constraint(xor3_impostor, "x", "y", "z")])
+    runs += [lambda: reduce_xor3_star_to_xor4(CmsStarInstance(g, "x", 2)),
+             lambda: reduce_xor3xor2_to_xor3(g, "x"),
+             lambda: reduce_to_weakbase(CoCloneId("IL2"), g, "x"),
+             lambda: reduce_to_weakbase(CoCloneId("IL1"), g, "x")]
+    for run in runs:
+        with pytest.raises(PreconditionError, match="outside the"):
+            run()
+
+
 def test_fresh_prefix_never_collides():
     f = Formula.of([constraint(OR2, "_f", "_t")])
     out = reduce_or2_to_nae3(f, "_f")
@@ -361,23 +381,93 @@ def test_reduce_files_match_pinned_digests(tag, width, tmp_path, capsys):
 
 # sha256 of the lifts of every source model, one model string per line
 PINNED_LIFT_DIGESTS = {
-    "II2": "2153349a3b2faf10aa6d92348e0bd2941c6a8cc130ea9071375979633d217c4d",
-    "IN2": "38ea04805b04cf841b75ce98237e9705ac638b3a483aecc878f54de167d0496d",
-    "IL2": "19829f7af97455c65a28389deaecf064ef8449c411a5d508003aacfd15923f55",
-    "IL3": "d27855778e27390ce8122123937c8db893453843c883f72c5d498f28100bbb40",
+    ("II2", None): "2153349a3b2faf10aa6d92348e0bd2941c6a8cc130ea9071375979633d217c4d",
+    ("II1", None): "956fa77ce02716f87bd1d98a59a4514c7bd9b5c69991937c5900ea001bace74d",
+    ("IN2", None): "38ea04805b04cf841b75ce98237e9705ac638b3a483aecc878f54de167d0496d",
+    ("IV2", None): "b708455e26757dfc478c48df659de70777d7f68d26001f641ed7887d5182b9bc",
+    ("IV1", None): "b708455e26757dfc478c48df659de70777d7f68d26001f641ed7887d5182b9bc",
+    ("IL2", None): "19829f7af97455c65a28389deaecf064ef8449c411a5d508003aacfd15923f55",
+    ("IL3", None): "d27855778e27390ce8122123937c8db893453843c883f72c5d498f28100bbb40",
+    ("IL1", None): "f749885689ede2c0bdb6e65d5d728786c48a5bcedf16fd2ff5819b8897bc132a",
+    ("IS0", 2): "592f716ca963ca7888ba367c714ac7487b61c915fc3cd7855039905ca9197d78",
+    ("IS0", 3): "592f716ca963ca7888ba367c714ac7487b61c915fc3cd7855039905ca9197d78",
+    ("IS01", 2): "b708455e26757dfc478c48df659de70777d7f68d26001f641ed7887d5182b9bc",
+    ("IS01", 3): "b708455e26757dfc478c48df659de70777d7f68d26001f641ed7887d5182b9bc",
+    ("IS02", 2): "b708455e26757dfc478c48df659de70777d7f68d26001f641ed7887d5182b9bc",
+    ("IS02", 3): "b708455e26757dfc478c48df659de70777d7f68d26001f641ed7887d5182b9bc",
+    ("IS00", 2): "b708455e26757dfc478c48df659de70777d7f68d26001f641ed7887d5182b9bc",
+    ("IS00", 3): "b708455e26757dfc478c48df659de70777d7f68d26001f641ed7887d5182b9bc",
 }
+WEAKBASE_CASES = sorted(PINNED_LIFT_DIGESTS, key=str)
+WEAKBASE_IDS = [tag if width is None else f"{tag}-{width}" for tag, width in WEAKBASE_CASES]
 
 
-@pytest.mark.parametrize("tag", sorted(PINNED_LIFT_DIGESTS))
-def test_pair_gadget_lifts_match_pinned_digests(tag):
+@pytest.mark.parametrize("tag,width", WEAKBASE_CASES, ids=WEAKBASE_IDS)
+def test_pair_gadget_lifts_match_pinned_digests(tag, width):
     if tag.startswith("IL"):
         src = Formula.of([constraint(XOR3, "x", "y", "z"), constraint(XOR3, "y", "y", "w")],
                          ("x", "y", "z", "w", "v"))
     else:
         src = Formula.of([constraint(OR2, "x", "y"), constraint(OR2, "y", "z"),
                           constraint(OR2, "z", "z")], ("x", "y", "z", "w"))
-    out = reduce_to_weakbase(CoCloneId(tag), src, "x")
+    out = reduce_to_weakbase(CoCloneId(tag, width), src, "x")
     lifted = [lift_model(out, m) for m in enumerate_models(src)]
     assert all(m.satisfies(out.formula) for m in lifted)
     digest = hashlib.sha256("\n".join(map(str, lifted)).encode()).hexdigest()
-    assert digest == PINNED_LIFT_DIGESTS[tag]
+    assert digest == PINNED_LIFT_DIGESTS[tag, width]
+
+
+# sha256 of the lifts at each of the five chain steps of the IL2 pipeline run on OR2(x, y);
+# every source model is lifted through the stages in turn, one model string per line
+PINNED_CHAIN_LIFT_DIGESTS = (
+    "91392134f4b5f0a74f43ffaaa9467a5ee45ee2a766faace8635ca5e021cb4b17",
+    "0df345e183e83d3b657b633868fe1e43401b9ffa154c0409937d557420eec548",
+    "c60576ba912004da9f501e0b6c0c22938ad35e8eba826a3bfab90545100e0743",
+    "7db7f1662e86feb98e93660a3e9feba9a4d3445d1bc59465f22857073c5dda8b",
+    "d73d7bad0a3f86e6b16d730de14d9facfe8d028a2d86d3c5689c50b407e30418",
+)
+
+
+def test_chain_step_lifts_match_pinned_digests():
+    src = or2_formula(("x", "y"))
+    outs = compose_chain(CoCloneId("IL2")).run(src, "x")
+    models = enumerate_models(src)
+    for out, want in zip(outs[:5], PINNED_CHAIN_LIFT_DIGESTS, strict=True):
+        models = [lift_model(out, m) for m in models]
+        assert all(m.satisfies(out.formula) for m in models)
+        assert hashlib.sha256("\n".join(map(str, models)).encode()).hexdigest() == want
+
+
+# per case: the source relations and the reduction, as a function of (formula, query, rng)
+LIFT_ORACLE_CASES = {
+    **{case_id: ((XOR3,) if tag.startswith("IL") else (OR2,),
+                 lambda f, q, _rng, c=CoCloneId(tag, width): reduce_to_weakbase(c, f, q))
+       for case_id, (tag, width) in zip(WEAKBASE_IDS, WEAKBASE_CASES)},
+    "or2_to_nae3": ((OR2,), lambda f, q, _rng: reduce_or2_to_nae3(f, q)),
+    "nae3_to_xor3_star": ((NAE3,), lambda f, q, _rng: reduce_nae3_to_xor3_star(f, q)),
+    "xor3_star_to_xor4": ((XOR3,), lambda f, q, rng: reduce_xor3_star_to_xor4(
+        CmsStarInstance(f, q, rng.randint(1, f.num_vars)))),
+    "xor4_to_xor3_xor2": ((XOR4,), lambda f, q, _rng: reduce_xor4_to_xor3_xor2(f, q)),
+    "xor3xor2_to_xor3": ((XOR3, XOR2), lambda f, q, _rng: reduce_xor3xor2_to_xor3(f, q)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIFT_ORACLE_CASES))
+def test_lift_is_least_minimum_weight_extension(case):
+    rels, reduce = LIFT_ORACLE_CASES[case]
+    rng = random.Random(case)
+    checked = 0
+    for _ in range(40):
+        src = random_mixed_formula(rng, rels, rng.randint(2, 5), rng.randint(1, 3))
+        out = reduce(src, src.universe[0], rng)
+        if out.formula.num_vars > 20 or out.stats.declared_weight_offset is None:
+            continue
+        least: dict = {}  # source model -> least minimum-weight extension
+        for m in enumerate_models(out.formula):  # lexicographic order
+            key = m.restrict(src.universe)
+            if key not in least or m.weight < least[key].weight:
+                least[key] = m
+        for m in enumerate_models(src):
+            assert lift_model(out, m) == least[m], (case, src.constraints, m)
+            checked += 1
+    assert checked > 0
