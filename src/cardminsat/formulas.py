@@ -25,6 +25,11 @@ def constraint(relation: Relation, *vars: str) -> Constraint:
     return Constraint(relation, tuple(vars))
 
 
+def _first_occurrences(constraints: Iterable[Constraint]) -> tuple[str, ...]:
+    """The variables of the constraints, each once, in first-occurrence order."""
+    return tuple(dict.fromkeys(v for c in constraints for v in c.vars))
+
+
 @dataclass(frozen=True)
 class Formula:
     """An ordered variable universe plus a list of constraints.
@@ -44,13 +49,7 @@ class Formula:
     def of(cls, constraints: Iterable[Constraint], universe: Sequence[str] | None = None,
            validate: bool = True) -> "Formula":
         cons = tuple(constraints)
-        if universe is None:
-            seen: dict[str, None] = {}
-            for c in cons:
-                for v in c.vars:
-                    seen.setdefault(v)
-            universe = tuple(seen)
-        f = cls(tuple(universe), cons)
+        f = cls(_first_occurrences(cons) if universe is None else tuple(universe), cons)
         if validate:
             f.validate()
         return f
@@ -73,11 +72,7 @@ class Formula:
         return len(self.constraints)
 
     def occurring(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for c in self.constraints:
-            for v in c.vars:
-                seen.setdefault(v)
-        return tuple(seen)
+        return _first_occurrences(self.constraints)
 
     def relations(self) -> tuple[Relation, ...]:
         """The distinct relations used, by name and tuples, in first-use order."""
@@ -104,10 +99,6 @@ class Assignment:
     def __post_init__(self) -> None:
         if len(self.vars) != len(self.values):
             raise ValueError("assignment arity mismatch")
-
-    @classmethod
-    def from_mapping(cls, vars: Sequence[str], mapping: Mapping[str, int]) -> "Assignment":
-        return cls(tuple(vars), tuple(mapping[v] & 1 for v in vars))
 
     @property
     def weight(self) -> int:

@@ -2,18 +2,22 @@
 
 Five chain steps take positive-2-clause instances down to ternary-parity
 instances, and one gadget per hard co-clone rewrites those into weak-base
-instances.  Boost blocks ("give a variable weight N") always use an N that
-exceeds every competing model weight, so minimum-weight models never pay
-them.  Fresh variables use a reserved prefix of underscores chosen so they
-cannot collide with source variables, which keeps chained outputs
-reproducible byte for byte.  An output is plain data; `lift_model` lifts a
-source model by searching the output's formula.
+instances: eleven gadgets are rows of one layout table, II1 is written out.
+Every target is the source universe followed by the fresh variables.  Boost
+blocks ("give a variable weight N") always use an N that exceeds every
+competing model weight, so minimum-weight models never pay them.  Fresh
+variables use a reserved prefix of underscores chosen so they cannot collide
+with source variables, which keeps chained outputs reproducible byte for
+byte.  An output is plain data; `lift_model` lifts a source model by
+searching the output's formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
+from typing import Sequence
 
 from .coclones import CoCloneId, weak_base
 from .errors import PreconditionError
@@ -30,8 +34,6 @@ _XOR4 = build_named_relation("XOR", 4)
 
 OR2_WEAKBASE_TARGETS = ("II2", "II1", "IN2", "IV2", "IV1", "IS0", "IS01", "IS02", "IS00")
 XOR3_WEAKBASE_TARGETS = ("IL2", "IL3", "IL1")
-CHAIN_STEPS = ("or2_to_nae3", "nae3_to_xor3_star", "xor3_star_to_xor4",
-               "xor4_to_xor3_xor2", "xor3xor2_to_xor3")
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,13 @@ class ReductionOutput:
     bound: int | None
     stats: ReductionStats
     source: Formula
+
+
+def _output(source: Formula, query: str, cons: list[Constraint], fresh: Sequence[str], offset: int,
+            boost_n: int | None = None, bound: int | None = None) -> ReductionOutput:
+    """The target over the source universe followed by `fresh`."""
+    target = Formula.of(cons, source.universe + tuple(fresh), validate=False)
+    return ReductionOutput(target, query, bound, ReductionStats(len(fresh), boost_n, offset), source)
 
 
 def lift_model(red: ReductionOutput, model: Assignment) -> Assignment:
@@ -107,9 +116,7 @@ def reduce_or2_to_nae3(formula: Formula, query: str) -> ReductionOutput:
     cons = [Constraint(_NAE3, (a, b, f)) for _, (a, b) in formula.constraints]
     cons.append(Constraint(_NAE3, (f, f, t)))
     cons.extend(Constraint(_NAE3, (fj, fj, t)) for fj in boosts)
-    target = Formula.of(cons, formula.universe + (f, t) + boosts, validate=False)
-    stats = ReductionStats(fresh_var_count=big_n + 2, boost_n=big_n, declared_weight_offset=1)
-    return ReductionOutput(target, query, None, stats, formula)
+    return _output(formula, query, cons, (f, t) + boosts, 1, big_n)
 
 
 def reduce_nae3_to_xor3_star(formula: Formula, query: str) -> ReductionOutput:
@@ -141,10 +148,7 @@ def reduce_nae3_to_xor3_star(formula: Formula, query: str) -> ReductionOutput:
             cons.extend(Constraint(_XOR3, (head, c, t)) for c in copies)
             fresh.append(head)
             fresh.extend(copies)
-    target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-    stats = ReductionStats(fresh_var_count=len(fresh), boost_n=big_n,
-                           declared_weight_offset=m * big_n + 1)
-    return ReductionOutput(target, query, bound, stats, formula)
+    return _output(formula, query, cons, fresh, m * big_n + 1, big_n, bound)
 
 
 def reduce_xor3_star_to_xor4(instance: CmsStarInstance) -> ReductionOutput:
@@ -164,9 +168,7 @@ def reduce_xor3_star_to_xor4(instance: CmsStarInstance) -> ReductionOutput:
     alphas = tuple(f"{pre}a{j}" for j in range(1, k + 1))
     cons = [Constraint(_XOR4, (x, y, z, aj))
             for _, (x, y, z) in formula.constraints for aj in alphas]
-    target = Formula.of(cons, formula.universe + alphas, validate=False)
-    stats = ReductionStats(fresh_var_count=k, boost_n=None, declared_weight_offset=0)
-    return ReductionOutput(target, query, None, stats, formula)
+    return _output(formula, query, cons, alphas, 0)
 
 
 def reduce_xor4_to_xor3_xor2(formula: Formula, query: str) -> ReductionOutput:
@@ -182,10 +184,7 @@ def reduce_xor4_to_xor3_xor2(formula: Formula, query: str) -> ReductionOutput:
         cons += (Constraint(_XOR3, (x1, x2, y)), Constraint(_XOR3, (x3, x4, z)),
                  Constraint(_XOR2, (y, z)))
         fresh += (y, z)
-    target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-    p = formula.num_constraints
-    stats = ReductionStats(fresh_var_count=2 * p, boost_n=None, declared_weight_offset=p)
-    return ReductionOutput(target, query, None, stats, formula)
+    return _output(formula, query, cons, fresh, formula.num_constraints)
 
 
 def reduce_xor3xor2_to_xor3(formula: Formula, query: str) -> ReductionOutput:
@@ -211,9 +210,7 @@ def reduce_xor3xor2_to_xor3(formula: Formula, query: str) -> ReductionOutput:
     cons = [Constraint(_XOR3, vs if len(vs) == 3 else vs + (w,)) for _, vs in formula.constraints]
     cons.append(Constraint(_XOR3, (t, t, t)))
     cons.extend(Constraint(_XOR3, (t, w, wj)) for wj in boosts)
-    target = Formula.of(cons, formula.universe + (w, t) + boosts, validate=False)
-    stats = ReductionStats(fresh_var_count=big_n + 2, boost_n=big_n, declared_weight_offset=1)
-    return ReductionOutput(target, query, None, stats, formula)
+    return _output(formula, query, cons, (w, t) + boosts, 1, big_n)
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +231,18 @@ def reduce_to_weakbase(c: CoCloneId, formula: Formula, query: str) -> ReductionO
         _require_fragment(formula, (_XOR3,), "ternary-parity")
     else:
         raise PreconditionError(f"no weak-base gadget for {c}; the co-clone is not in the hard list")
-    rel = weak_base(c)
-    builder = _WEAKBASE_BUILDERS[c.tag]
-    return builder(c, rel, formula, query)
+    builder = _wb_ii1 if c.tag == "II1" else _wb_layout
+    return builder(c, weak_base(c), formula, query)
 
 
-# A pair gadget makes, per source constraint i, a head {pre}{r}{i} and a
-# complement {pre}{r}p{i} for each role r: a main constraint over the heads,
-# the source variables x1..xk and the constants f, t, then pair constraints
-# that tie each head to its complement.  A boosted gadget appends
-# R(f,f,f,f,t,t,t,t) and n+p+1 copies of it with a fresh fj in place of f.
+# A layout gadget writes, per source constraint i, one constraint per layout: the main
+# layout, then the pair layouts.  A layout names the source constraint's variables x1, x2,
+# ..., the constants f and t, and for each role r a head {pre}{r}{i} and its complement
+# {pre}{r}p{i}, which the pair layouts tie together.  An IS row repeats x2 up to the clause
+# width.  A gadget adds only the constants its layouts use, in the order f, t.  A boosted
+# gadget appends R(f,f,f,f,t,t,t,t) and n+p+1 copies of it with a fresh fj in place of f.
 # Each row: (roles, main layout, pair layouts, boosted).
-_PAIR_GADGETS = {
+_GADGET_LAYOUTS = {
     "II2": ("abcd", "a b c d x1 x2 f t",
             ("a ap f ap a t f t", "b bp f bp b t f t", "c cp f cp c t f t", "d dp f dp d t f t"),
             False),
@@ -255,34 +252,42 @@ _PAIR_GADGETS = {
             True),
     "IL2": ("uvw", "u v w x1 x2 x3 f t", ("u v w up vp wp f t",), False),
     "IL3": ("uvw", "u v w f x1 x2 x3 t", ("u v w f up vp wp t",), True),
+    "IL1": ("", "x1 x2 x3 t", (), False),
+    "IV2": ("", "t x1 x2 f t", (), False),
+    "IV1": ("", "t x1 x2 f t", (), False),
+    "IS0": ("", "x1 x2 t", (), False),
+    "IS01": ("", "x1 x2 f t", (), False),
+    "IS02": ("", "x1 x2 f t", (), False),
+    "IS00": ("", "x1 x2 f f t", (), False),
 }
 
 
-def _wb_pair(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
-    roles, main, pairs, boosted = _PAIR_GADGETS[c.tag]
-    xs_names = [s for s in main.split() if s[0] == "x"]
+def _wb_layout(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
+    roles, main, pairs, boosted = _GADGET_LAYOUTS[c.tag]
+    layouts = [layout.split() for layout in (main, *pairs)]
+    if c.width is not None:  # an IS row: x1 x2 widens to x1 x2 ... x2
+        layouts[0][1:2] = ["x2"] * (c.width - 1)
+    used = set().union(*layouts)
     fresh_names = [*roles, *(r + "p" for r in roles)]
-    symbols = ["f", "t", *xs_names, *fresh_names]
-    getters = [itemgetter(*map(symbols.index, layout.split())) for layout in (main,) + pairs]
+    symbols = ["f", "t", *sorted(s for s in used if s[0] == "x"), *fresh_names]
+    getters = [itemgetter(*map(symbols.index, layout)) for layout in layouts]
     pre = fresh_prefix(formula.universe)
     f, t = pre + "f", pre + "t"
     stems = [pre + s for s in fresh_names]
     n, p = formula.num_vars, formula.num_constraints
     fresh = [s + i for i in map(str, range(1, p + 1)) for s in stems]
-    names_of = zip(*[iter(fresh)] * len(stems))  # the fresh names of each source constraint
+    # the fresh names of each source constraint (none for a gadget with no roles)
+    names_of = zip(*[iter(fresh)] * len(stems)) if stems else repeat(())
     cons = [Constraint(rel, get(row))
             for (_, xs), names in zip(formula.constraints, names_of)
             for row in [(f, t, *xs, *names)] for get in getters]
-    fresh += (f, t)
+    fresh += [pre + s for s in ("f", "t") if s in used]
     big_n = n + p + 1 if boosted else None
     if big_n is not None:
         boosts = [f"{pre}f{j}" for j in range(1, big_n + 1)]
         cons += [Constraint(rel, (fj, fj, fj, fj, t, t, t, t)) for fj in [f, *boosts]]
         fresh += boosts
-    target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-    stats = ReductionStats(fresh_var_count=len(fresh), boost_n=big_n,
-                           declared_weight_offset=len(roles) * p + 1)
-    return ReductionOutput(target, query, None, stats, formula)
+    return _output(formula, query, cons, fresh, len(roles) * p + 1, big_n)
 
 
 def _wb_ii1(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
@@ -303,66 +308,25 @@ def _wb_ii1(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> Reduct
         cons.append(Constraint(rel, (f1, f2, f, t)))
         fresh.extend((f1, f2))
     fresh.append(t)
-    target = Formula.of(cons, formula.universe + tuple(fresh), validate=False)
-    stats = ReductionStats(fresh_var_count=2 * p + 2 * big_n + 2, boost_n=big_n,
-                           declared_weight_offset=p + big_n + 1)
-    return ReductionOutput(target, query, None, stats, formula)
-
-
-def _wb_il1(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
-    pre = fresh_prefix(formula.universe)
-    t = pre + "t"
-    cons = [Constraint(rel, vs + (t,)) for _, vs in formula.constraints]
-    target = Formula.of(cons, formula.universe + (t,), validate=False)
-    stats = ReductionStats(fresh_var_count=1, boost_n=None, declared_weight_offset=1)
-    return ReductionOutput(target, query, None, stats, formula)
-
-
-def _wb_iv(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
-    # IV2 and IV1 share the layout R(t, x1, x2, f, t); only the base differs.
-    pre = fresh_prefix(formula.universe)
-    f, t = pre + "f", pre + "t"
-    cons = [Constraint(rel, (t, x1, x2, f, t)) for _, (x1, x2) in formula.constraints]
-    target = Formula.of(cons, formula.universe + (f, t), validate=False)
-    stats = ReductionStats(fresh_var_count=2, boost_n=None, declared_weight_offset=1)
-    return ReductionOutput(target, query, None, stats, formula)
-
-
-def _wb_is(c: CoCloneId, rel: Relation, formula: Formula, query: str) -> ReductionOutput:
-    assert c.width is not None
-    k = c.width
-    pre = fresh_prefix(formula.universe)
-    f, t = pre + "f", pre + "t"
-    tails = {"IS0": (t,), "IS01": (f, t), "IS02": (f, t), "IS00": (f, f, t)}[c.tag]
-    cons = [Constraint(rel, (x1,) + (x2,) * (k - 1) + tails)
-            for _, (x1, x2) in formula.constraints]
-    uses_f = c.tag != "IS0"
-    universe = formula.universe + ((f, t) if uses_f else (t,))
-    target = Formula.of(cons, universe, validate=False)
-    stats = ReductionStats(fresh_var_count=2 if uses_f else 1, boost_n=None,
-                           declared_weight_offset=1)
-    return ReductionOutput(target, query, None, stats, formula)
-
-
-_WEAKBASE_BUILDERS = {
-    "II2": _wb_pair,
-    "II1": _wb_ii1,
-    "IN2": _wb_pair,
-    "IL2": _wb_pair,
-    "IL3": _wb_pair,
-    "IL1": _wb_il1,
-    "IV2": _wb_iv,
-    "IV1": _wb_iv,
-    "IS0": _wb_is,
-    "IS01": _wb_is,
-    "IS02": _wb_is,
-    "IS00": _wb_is,
-}
+    return _output(formula, query, cons, fresh, p + big_n + 1, big_n)
 
 
 # ---------------------------------------------------------------------------
 # Chains
 # ---------------------------------------------------------------------------
+
+
+# Each chain step by name, as a call on the last stage's formula, query and bound.  The
+# reduction is looked up in the module namespace when the step runs, so a wrapper set on
+# the module attribute (as the benchmark tracer does) is the one called.
+_CHAIN_CALLS = {
+    "or2_to_nae3": lambda f, q, k: reduce_or2_to_nae3(f, q),
+    "nae3_to_xor3_star": lambda f, q, k: reduce_nae3_to_xor3_star(f, q),
+    "xor3_star_to_xor4": lambda f, q, k: reduce_xor3_star_to_xor4(CmsStarInstance(f, q, k)),
+    "xor4_to_xor3_xor2": lambda f, q, k: reduce_xor4_to_xor3_xor2(f, q),
+    "xor3xor2_to_xor3": lambda f, q, k: reduce_xor3xor2_to_xor3(f, q),
+}
+CHAIN_STEPS = tuple(_CHAIN_CALLS)
 
 
 @dataclass(frozen=True)
@@ -378,21 +342,10 @@ class ChainPipeline:
         outputs: list[ReductionOutput] = []
         current, q, bound = formula, query, None
         for step in self.steps:
-            if step == "or2_to_nae3":
-                out = reduce_or2_to_nae3(current, q)
-            elif step == "nae3_to_xor3_star":
-                out = reduce_nae3_to_xor3_star(current, q)
-            elif step == "xor3_star_to_xor4":
-                assert bound is not None
-                out = reduce_xor3_star_to_xor4(CmsStarInstance(current, q, bound))
-            elif step == "xor4_to_xor3_xor2":
-                out = reduce_xor4_to_xor3_xor2(current, q)
-            elif step == "xor3xor2_to_xor3":
-                out = reduce_xor3xor2_to_xor3(current, q)
-            elif step.startswith("to_weakbase_"):
+            if step.startswith("to_weakbase_"):
                 out = reduce_to_weakbase(self.target, current, q)
             else:
-                raise AssertionError(step)
+                out = _CHAIN_CALLS[step](current, q, bound)
             outputs.append(out)
             current, q, bound = out.formula, out.query, out.bound
         return outputs

@@ -471,3 +471,95 @@ def test_lift_is_least_minimum_weight_extension(case):
             assert lift_model(out, m) == least[m], (case, src.constraints, m)
             checked += 1
     assert checked > 0
+
+
+def stats_row(out):
+    return (out.bound, out.stats.fresh_var_count, out.stats.boost_n,
+            out.stats.declared_weight_offset)
+
+
+# (bound, fresh_var_count, boost_n, declared_weight_offset) of each stage of the pipelines
+# that `cardminsat reduce` runs on PINNED_SOURCE; the three affine chains share five stages
+IL_CHAIN_HEAD_STATS = [(None, 7, 5, 1), (129, 352, 13, 118), (None, 129, None, 0),
+                       (None, 90816, None, 45408), (None, 91311, 91309, 1)]
+PINNED_REDUCE_STATS = {
+    ("II2", None): [(None, 26, None, 13)],
+    ("II1", None): [(None, 24, 8, 12)],
+    ("IN2", None): [(None, 34, 8, 13)],
+    ("IV2", None): [(None, 2, None, 1)],
+    ("IV1", None): [(None, 2, None, 1)],
+    ("IL2", None): IL_CHAIN_HEAD_STATS + [(None, 1365206, None, 682603)],
+    ("IL3", None): IL_CHAIN_HEAD_STATS + [(None, 1775360, 410154, 682603)],
+    ("IL1", None): IL_CHAIN_HEAD_STATS + [(None, 1, None, 1)],
+    **{("IS0", k): [(None, 1, None, 1)] for k in (2, 3)},
+    **{(tag, k): [(None, 2, None, 1)] for tag in ("IS01", "IS02", "IS00") for k in (2, 3)},
+}
+
+
+def test_reduce_stats_match_pinned_values():
+    src = Formula.of([constraint(OR2, "x", "y"), constraint(OR2, "y", "z"),
+                      constraint(OR2, "z", "z")], ("x", "y", "z", "w"))
+    il2 = compose_chain(CoCloneId("IL2")).run(src, "x")
+    got = {("IL2", None): [stats_row(out) for out in il2]}
+    head = il2[:5]  # the chains to IL1 and IL3 run the same first five stages
+    del il2
+    for tag in ("IL1", "IL3"):
+        last = reduce_to_weakbase(CoCloneId(tag), head[-1].formula, head[-1].query)
+        got[tag, None] = [stats_row(out) for out in head + [last]]
+    for tag, width in PINNED_REDUCE_STATS.keys() - got.keys():
+        outs = compose_chain(CoCloneId(tag, width)).run(src, "x")
+        got[tag, width] = [stats_row(out) for out in outs]
+    assert got == PINNED_REDUCE_STATS
+    assert got.keys() == PINNED_REDUCE_DIGESTS.keys()
+
+
+def test_chain_and_placeholder_stats_match_pinned_values():
+    outs = compose_chain(CoCloneId("IL2")).run(or2_formula(("x", "y")), "x")
+    assert [stats_row(out) for out in outs] == [
+        (None, 5, 3, 1), (53, 136, 9, 46), (None, 53, None, 0), (None, 14416, None, 7208),
+        (None, 14615, 14613, 1), (None, 217430, None, 108715)]
+    placeholder = reduce_xor3xor2_to_xor3(Formula.of([constraint(XOR2, "x", "x")]), "x")
+    assert placeholder.formula.universe == ("x", "_y")
+    assert stats_row(placeholder) == (None, 1, None, None)
+
+
+def test_chain_calls_each_step_through_its_module_attribute(monkeypatch):
+    # the benchmark tracer times each step by replacing the module attribute
+    from cardminsat import reductions
+
+    names = ("reduce_or2_to_nae3", "reduce_nae3_to_xor3_star", "reduce_xor3_star_to_xor4",
+             "reduce_xor4_to_xor3_xor2", "reduce_xor3xor2_to_xor3", "reduce_to_weakbase")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, step=getattr(reductions, name)):
+            calls[name] += 1
+            return step(*args)
+        monkeypatch.setattr(reductions, name, counted)
+    compose_chain(CoCloneId("IL2")).run(or2_formula(("x", "y")), "x")
+    assert calls == dict.fromkeys(names, 1)
+
+
+# sha256 of (universe, constraints, bound, stats) of each gadget on a source with a universe
+# and no constraints
+PINNED_EMPTY_SOURCE_DIGESTS = {
+    ("II2", None): "04ed93edc5ded260093e94a63dc17acb78e59897a67267b0529e616e64ef5525",
+    ("II1", None): "4951992c13d6c56f1571e97ffb1fdd4747685896212d6c7f7d53829fd06acdcc",
+    ("IN2", None): "1fad8869db4ffed78b5968850136cad06ffa02a668f252a4dfd5448965f589a3",
+    ("IV2", None): "04ed93edc5ded260093e94a63dc17acb78e59897a67267b0529e616e64ef5525",
+    ("IV1", None): "04ed93edc5ded260093e94a63dc17acb78e59897a67267b0529e616e64ef5525",
+    ("IL2", None): "04ed93edc5ded260093e94a63dc17acb78e59897a67267b0529e616e64ef5525",
+    ("IL3", None): "5da1000688a0f07e6c7989886240e872edddf674f564827a4d38b69ef4302629",
+    ("IL1", None): "597ecf852292471abbd28b193ae575652d6afdc56338f9c12d5611dc059e379f",
+    **{("IS0", k): "597ecf852292471abbd28b193ae575652d6afdc56338f9c12d5611dc059e379f"
+       for k in (2, 3)},
+    **{(tag, k): "04ed93edc5ded260093e94a63dc17acb78e59897a67267b0529e616e64ef5525"
+       for tag in ("IS01", "IS02", "IS00") for k in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("tag,width", WEAKBASE_CASES, ids=WEAKBASE_IDS)
+def test_gadget_on_source_without_constraints_matches_pinned_digest(tag, width):
+    out = reduce_to_weakbase(CoCloneId(tag, width), Formula.of([], ("x", "y")), "x")
+    text = repr((out.formula.universe, tuple(map(str, out.formula.constraints)), out.bound,
+                 out.stats))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EMPTY_SOURCE_DIGESTS[tag, width]
