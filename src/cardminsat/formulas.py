@@ -42,20 +42,28 @@ class Formula:
     constraints: tuple[Constraint, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.universe)) != len(self.universe):
-            raise ValueError("universe contains duplicate variables")
+        self.validate()
 
     @classmethod
     def of(cls, constraints: Iterable[Constraint], universe: Sequence[str] | None = None,
            validate: bool = True) -> "Formula":
+        """The formula over ``constraints``; the universe defaults to the
+        occurring variables.  With ``validate=False`` the caller vouches that
+        the universe has no repeated name and covers every constraint of the
+        right arity, and no check is made."""
         cons = tuple(constraints)
-        f = cls(_first_occurrences(cons) if universe is None else tuple(universe), cons)
+        names = _first_occurrences(cons) if universe is None else tuple(universe)
+        f = object.__new__(cls)  # bypasses __post_init__, so `validate` runs at most once
+        object.__setattr__(f, "universe", names)
+        object.__setattr__(f, "constraints", cons)
         if validate:
             f.validate()
         return f
 
     def validate(self) -> None:
         members = set(self.universe)
+        if len(members) != len(self.universe):
+            raise ValueError("universe contains duplicate variables")
         for c in self.constraints:
             if len(c.vars) != c.relation.arity:
                 raise ValueError(f"constraint {c} has {len(c.vars)} vars for arity {c.relation.arity}")

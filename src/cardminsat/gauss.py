@@ -7,9 +7,11 @@ query answerer for formulas whose relations are all affine.
 The solver keeps every determined variable fully reduced: its value is an
 int mask over the constant bit and the bits of the currently-free "slot"
 variables.  Equations that determine nothing new eliminate one slot by
-back-substitution through a user index, and retired slot ids are recycled,
-so masks stay narrow even on systems with hundreds of thousands of highly
-redundant equations.
+back-substitution through that slot's append-only user list, whose stale
+entries are skipped, and retired slot ids are recycled, so masks stay narrow
+even on systems with hundreds of thousands of highly redundant equations.
+A whole formula is folded in one loop, with the cyclic garbage collector
+paused.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ import numpy as np
 from .errors import GuardError
 from .formulas import Formula, require_query
 from .relations import Relation, set_bit_indices
+from .util import nogc
 
 XorEquation = tuple[Sequence[str], int]
+ParityCheck = tuple[Sequence[int], int]  # (coords, parity) over a constraint's variables
 
 DEFAULT_DIM_GUARD = 22
 
@@ -35,13 +39,17 @@ class GF2Solver:
     Every seen variable maps to an int mask: bit 0 is the affine constant,
     bit s (s >= 1) stands for the free variable currently occupying slot s
     (whose own mask is exactly that bit).  Masks only ever reference live
-    slots; eliminating a slot back-substitutes through a user index and its
-    id is recycled, which keeps masks narrow on huge redundant systems.
+    slots.  Each live slot keeps an append-only list of the names whose
+    masks hold its bit; a name is appended when its mask gains the bit, and
+    an entry whose mask has since lost the bit is stale and skipped, so a
+    name may appear more than once.  Eliminating a slot back-substitutes
+    through its list and recycles its id, which keeps masks narrow on huge
+    redundant systems.
     """
 
     def __init__(self) -> None:
         self.mask: dict[str, int] = {}
-        self._users: dict[int, set[str]] = {}
+        self._users: dict[int, list[str]] = {}
         self._spare_ids: list[int] = []
         self._next_slot = 1
         self.unsat = False
@@ -53,54 +61,62 @@ class GF2Solver:
             s = self._next_slot
             self._next_slot += 1
         self.mask[var] = 1 << s
-        self._users[s] = {var}
+        self._users[s] = [var]
         return s
 
     def add(self, vars: Sequence[str], parity: int) -> None:
         """Add the equation ``xor(vars) = parity``; repetitions cancel."""
         self.add_checks(vars, ((range(len(vars)), parity & 1),))
 
-    def add_checks(self, vs: Sequence[str], checks: Iterable[tuple[Sequence[int], int]]) -> None:
+    def add_checks(self, vs: Sequence[str], checks: Iterable[ParityCheck]) -> None:
         """Add ``xor(vs[j] for j in coords) = parity`` for each
-        ``(coords, parity)`` with ``parity`` in {0, 1}; repeated variables
-        cancel.  Nothing is added once the system is unsatisfiable."""
+        ``(coords, parity)``: the one-row case of `fold`."""
+        self.fold(((vs, checks),))
+
+    def fold(self, rows: Iterable[tuple[Sequence[str], Iterable[ParityCheck]]]) -> None:
+        """For each row ``(vs, checks)``, add ``xor(vs[j] for j in coords) =
+        parity`` for each ``(coords, parity)`` of ``checks`` with ``parity``
+        in {0, 1}; repeated variables cancel.  Nothing is added once the
+        system is unsatisfiable."""
         if self.unsat:
             return
         mask = self.mask
         users = self._users
-        for coords, parity in checks:
-            expr = parity
-            unseen: list[str] | None = None
-            for j in coords:
-                v = vs[j]
-                m = mask.get(v)
-                if m is not None:
-                    expr ^= m
-                elif unseen is None:
-                    unseen = [v]
-                elif v in unseen:
-                    unseen.remove(v)
-                else:
-                    unseen.append(v)
-            if unseen:
-                pivot = unseen.pop()
-                for v in unseen:
-                    expr ^= 1 << self._new_slot(v)
-                mask[pivot] = expr
-                bits = expr & ~1
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    users[low.bit_length() - 1].add(pivot)
-            elif expr == 1:
-                self.unsat = True
-                return
-            elif expr:
-                self._retire(expr)
+        for vs, checks in rows:
+            for coords, parity in checks:
+                expr = parity
+                unseen: list[str] | None = None
+                for j in coords:
+                    v = vs[j]
+                    m = mask.get(v)
+                    if m is not None:
+                        expr ^= m
+                    elif unseen is None:
+                        unseen = [v]
+                    elif v in unseen:
+                        unseen.remove(v)
+                    else:
+                        unseen.append(v)
+                if unseen:
+                    pivot = unseen.pop()
+                    for v in unseen:
+                        expr ^= 1 << self._new_slot(v)
+                    mask[pivot] = expr
+                    bits = expr & ~1
+                    while bits:
+                        low = bits & -bits
+                        bits ^= low
+                        users[low.bit_length() - 1].append(pivot)
+                elif expr == 1:
+                    self.unsat = True
+                    return
+                elif expr:
+                    self._retire(expr)
 
     def _retire(self, expr: int) -> None:
-        """Pick the least-referenced free slot of ``expr``, solve its
-        variable, and back-substitute everywhere the slot occurs."""
+        """Pick the free slot of ``expr`` with the shortest user list, solve
+        its variable, and back-substitute into every name that still holds
+        the slot's bit; stale and repeated entries are skipped."""
         users_index = self._users
         best = None
         bits = expr & ~1
@@ -116,27 +132,27 @@ class GF2Solver:
         bit = 1 << s
         users = users_index.pop(s)
         self._spare_ids.append(s)
-        newexpr = expr ^ bit
-        delta = bit ^ newexpr
+        # xor-ing ``expr`` swaps the slot's bit for the rest of ``expr``
+        changed = expr & ~(bit | 1)
         mask = self.mask
         for w in users:
-            new = mask[w] ^ delta
+            old = mask[w]
+            if not old & bit:
+                continue
+            new = old ^ expr
             mask[w] = new
-            changed = newexpr & ~1
-            while changed:
-                low = changed & -changed
-                changed ^= low
-                if new & low:
-                    users_index[low.bit_length() - 1].add(w)
-                else:
-                    users_index[low.bit_length() - 1].discard(w)
+            gained = new & changed
+            while gained:
+                low = gained & -gained
+                gained ^= low
+                users_index[low.bit_length() - 1].append(w)
 
     def copy(self) -> GF2Solver:
         """An independent solver in the same state: folding into either
         leaves the other unchanged."""
         other = GF2Solver()
         other.mask = dict(self.mask)
-        other._users = {s: set(vs) for s, vs in self._users.items()}
+        other._users = {s: vs.copy() for s, vs in self._users.items()}
         other._spare_ids = list(self._spare_ids)
         other._next_slot = self._next_slot
         other.unsat = self.unsat
@@ -229,27 +245,26 @@ def is_affine(rel: Relation) -> bool:
     return affine_parity_checks(rel) is not None
 
 
+@nogc()
 def formula_system(formula: Formula) -> GF2Solver | None:
     """Load a formula whose relations are all affine; None otherwise.
 
-    Every relation is checked, also after the system turns unsatisfiable.
-    Each relation's checks are folded narrowest first, so unit and
-    two-variable checks determine variables before a wider check would open
-    them as free slots that a later check has to retire again.
+    Every relation is checked before anything is folded.  Each relation's
+    checks are folded narrowest first, so unit and two-variable checks
+    determine variables before a wider check would open them as free slots
+    that a later check has to retire again.
     """
-    solver = GF2Solver()
+    cons = formula.constraints
     # keyed by identity: the formula keeps every relation alive, and
     # same-named relations may differ
-    cache: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    add_checks = solver.add_checks
-    for rel, vs in formula.constraints:
-        checks = cache.get(id(rel))
-        if checks is None:
-            found = affine_parity_checks(rel)
-            if found is None:
-                return None
-            checks = cache[id(rel)] = sorted(found, key=lambda check: len(check[0]))
-        add_checks(vs, checks)
+    checks_of: dict[int, list[ParityCheck]] = {}
+    for key, rel in {id(rel): rel for rel, _ in cons}.items():
+        found = affine_parity_checks(rel)
+        if found is None:
+            return None
+        checks_of[key] = sorted(found, key=lambda check: len(check[0]))
+    solver = GF2Solver()
+    solver.fold((vs, checks_of[id(rel)]) for rel, vs in cons)
     return solver
 
 

@@ -25,6 +25,7 @@ from .formulas import Assignment, CmsStarInstance, Constraint, Formula, fresh_pr
 from .gauss import formula_system
 from .relations import Relation, build_named_relation
 from .search import find_model
+from .util import nogc
 
 _OR2 = build_named_relation("OR", 2)
 _NAE3 = build_named_relation("NAE3")
@@ -54,7 +55,8 @@ class ReductionOutput:
 
 def _output(source: Formula, query: str, cons: list[Constraint], fresh: Sequence[str], offset: int,
             boost_n: int | None = None, bound: int | None = None) -> ReductionOutput:
-    """The target over the source universe followed by `fresh`."""
+    """The target over the source universe followed by `fresh`: distinct
+    names under the source's fresh prefix, so the target is built unchecked."""
     target = Formula.of(cons, source.universe + tuple(fresh), validate=False)
     return ReductionOutput(target, query, bound, ReductionStats(len(fresh), boost_n, offset), source)
 
@@ -337,6 +339,7 @@ class ChainPipeline:
     target: CoCloneId
     steps: tuple[str, ...]
 
+    @nogc()
     def run(self, formula: Formula, query: str) -> list[ReductionOutput]:
         """Apply every step; returns one output per stage, in order."""
         outputs: list[ReductionOutput] = []

@@ -24,6 +24,8 @@ def test_universe_must_cover_constraints():
         Formula.of([constraint(OR2, "x")])
     with pytest.raises(ValueError):
         Formula(("x", "x"), ())
+    with pytest.raises(ValueError):
+        Formula.of([constraint(OR2, "x", "y")], universe=("x", "y", "x"))
 
 
 def test_evaluate_with_repetition():

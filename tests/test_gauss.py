@@ -185,3 +185,77 @@ def test_fold_is_independent_of_constraint_order():
             assert again.satisfiable == system.satisfiable
             if again.satisfiable:
                 assert len(again.free_slot_bits()) == dim
+
+
+def _parity_relation(arity: int, parity: int) -> Relation:
+    rows = sum(1 << i for i in range(1 << arity) if i.bit_count() % 2 == parity)
+    return Relation(f"P{arity}_{parity}", arity, rows)
+
+
+def _solver_models(solver: GF2Solver, universe) -> set[tuple[int, ...]]:
+    """Every solution the solved form describes, over ``universe``."""
+    free = solver.free_slot_bits()
+    models = set()
+    for a in range(1 << len(free)):
+        on = 1 | sum(1 << s for i, s in enumerate(free) if (a >> i) & 1)
+        models.add(tuple((solver.value_mask(v) & on).bit_count() & 1 for v in universe))
+    return models
+
+
+def test_regained_slot_bit_is_substituted_once():
+    equations = []
+
+    def add(vars, parity=0):
+        equations.append((vars, parity))
+        solver.add(vars, parity)
+
+    solver = GF2Solver()
+    add(("s", "a", "w"))               # w = s + a
+    add(("b", "c", "z"))               # z = b + c
+    for pad in ("e1", "e2", "e3"):     # load slot s so the retirements below pass it over
+        add(("s", pad))
+    add(("b", "f1"))
+    for pad in ("g1", "g2", "g3", "g4"):
+        add(("c", pad))
+    slot = {v: solver.value_mask(v).bit_length() - 1 for v in "sabc"}
+    add(("a", "s", "b"))               # retires a's slot: w = b loses s's bit
+    assert solver.value_mask("w") == 1 << slot["b"]
+    add(("b", "s", "c"))               # retires b's slot: w = s + c regains it
+    assert solver.value_mask("w") == (1 << slot["s"]) | (1 << slot["c"])
+    assert solver._users[slot["s"]].count("w") == 2
+    add(("s",), 1)                     # retires s's slot through both entries of w
+    assert solver.value_mask("w") == (1 << slot["c"]) | 1
+    universe = tuple(dict.fromkeys(v for vars, _ in equations for v in vars))
+    f = Formula.of([constraint(_parity_relation(len(vars), p), *vars) for vars, p in equations],
+                   universe)
+    assert _solver_models(solver, universe) == {tuple(m.values) for m in enumerate_models(f)}
+
+
+def test_user_index_lists_every_holder_of_a_live_slot():
+    rng = random.Random(31)
+    for _ in range(200):
+        pool = [f"x{i}" for i in range(rng.randint(2, 10))]
+        solver = GF2Solver()
+        for _ in range(rng.randint(1, 25)):
+            solver.add([rng.choice(pool) for _ in range(rng.randint(1, 4))], rng.getrandbits(1))
+            if not solver.satisfiable:
+                break
+            live = solver.free_slot_bits()
+            for v, m in solver.mask.items():
+                bits = [s for s in range(1, m.bit_length()) if (m >> s) & 1]
+                assert set(bits) <= set(live)
+                assert all(v in solver._users[s] for s in bits)
+
+
+def test_cms_affine_matches_bruteforce_on_random_affine_relations():
+    rng = random.Random(47)
+    for _ in range(500):
+        pool = [f"x{i}" for i in range(rng.randint(1, 8))]
+        cons = []
+        for _ in range(rng.randint(0, 6)):
+            rel = _random_affine_relation(rng, rng.randint(1, 5))
+            cons.append(constraint(rel, *(rng.choice(pool) for _ in range(rel.arity))))
+        f = Formula.of(cons, universe=pool)
+        q = rng.choice(pool)
+        want = cms_bruteforce(f, q)
+        assert cms_affine(f, q) == (want.min_weight is not None, want.min_weight, want.verdict)

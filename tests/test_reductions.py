@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 
@@ -563,3 +564,42 @@ def test_gadget_on_source_without_constraints_matches_pinned_digest(tag, width):
     text = repr((out.formula.universe, tuple(map(str, out.formula.constraints)), out.bound,
                  out.stats))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EMPTY_SOURCE_DIGESTS[tag, width]
+
+
+@pytest.mark.parametrize("case", sorted(LIFT_ORACLE_CASES))
+def test_outputs_have_no_repeated_universe_names(case):
+    # outputs skip Formula's repeated-name check: their fresh names are distinct by construction
+    rels, reduce = LIFT_ORACLE_CASES[case]
+    rng = random.Random(case)
+    for _ in range(40):
+        src = random_mixed_formula(rng, rels, rng.randint(2, 5), rng.randint(1, 3))
+        universe = reduce(src, src.universe[0], rng).formula.universe
+        assert len(set(universe)) == len(universe)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_chain_and_fold_pause_the_collector_and_restore_it(enabled, monkeypatch):
+    from cardminsat import GF2Solver, formula_system
+
+    seen = []
+    fold = GF2Solver.fold
+
+    def watched(self, rows):
+        seen.append(gc.isenabled())
+        fold(self, rows)
+
+    monkeypatch.setattr(GF2Solver, "fold", watched)
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        outs = compose_chain(CoCloneId("IL2")).run(or2_formula(("x", "y")), "x")
+        assert gc.isenabled() == enabled
+        assert formula_system(outs[-1].formula).satisfiable
+        assert gc.isenabled() == enabled
+        with pytest.raises(PreconditionError):
+            compose_chain(CoCloneId("IL2")).run(Formula.of([constraint(XOR3, "x", "y", "z")]), "x")
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    # one fold inside the chain's fifth step, one for the final stage; neither collects
+    assert seen == [False, False]
