@@ -197,7 +197,7 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.verb](args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (GuardError, PreconditionError) as exc:

@@ -9,6 +9,11 @@ each label's tractability bucket are derived from two tables: the closure
 properties of each property-based label and the clause templates of the
 labels that clauses generate.  The test suite revalidates the order against
 the membership tests via the weak bases.
+
+Every weak base is read off the lattice by one rule: the label's core, then
+a coordinate fixed to 0 if IR0 lies below the label, then one fixed to 1 if
+IR1 does.  The 30 property labels share 20 cores from one table; an IS
+chain's core is built from its clause templates and width.
 """
 
 from __future__ import annotations
@@ -24,18 +29,27 @@ from .classify import (IS_TEMPLATES, PropertyFingerprint, fingerprint, least_wid
 from .errors import CardMinSatError, GuardError
 from .relations import MAX_ARITY, ConstraintLanguage, Relation, build_named_relation
 
-NON_IS_TAGS = (
-    "IBF", "IR0", "IR1", "IR2",
-    "IM", "IM0", "IM1", "IM2",
-    "ID", "ID1", "ID2",
-    "IL", "IL0", "IL1", "IL2", "IL3",
-    "IV", "IV0", "IV1", "IV2",
-    "IE", "IE0", "IE1", "IE2",
-    "IN", "IN2",
-    "II", "II0", "II1", "II2",
-)
+# Implication-closed property sets of the property-based labels, in the
+# order the labels are listed.  A relation lies in such a label iff it has
+# each of the label's properties.
+_CLOSED_PROPS: dict[str, frozenset[str]] = {k: frozenset(v) for k, v in {
+    "IBF": ("horn", "dual", "bij", "affine", "comp", "zero", "one"),
+    "IR0": ("horn", "dual", "bij", "affine", "zero"), "IR1": ("horn", "dual", "bij", "affine", "one"),
+    "IR2": ("horn", "dual", "bij", "affine"),
+    "IM": ("horn", "dual", "bij", "zero", "one"), "IM0": ("horn", "dual", "bij", "zero"),
+    "IM1": ("horn", "dual", "bij", "one"), "IM2": ("horn", "dual", "bij"),
+    "ID": ("bij", "affine", "comp"), "ID1": ("bij", "affine"), "ID2": ("bij",),
+    "IL": ("affine", "zero", "one", "comp"), "IL0": ("affine", "zero"), "IL1": ("affine", "one"),
+    "IL2": ("affine",), "IL3": ("affine", "comp"),
+    "IV": ("dual", "zero", "one"), "IV0": ("dual", "zero"), "IV1": ("dual", "one"), "IV2": ("dual",),
+    "IE": ("horn", "zero", "one"), "IE0": ("horn", "zero"), "IE1": ("horn", "one"), "IE2": ("horn",),
+    "IN": ("comp", "zero", "one"), "IN2": ("comp",),
+    "II": ("zero", "one"), "II0": ("zero",), "II1": ("one",), "II2": (),
+}.items()}
 
-IS_TAGS = ("IS0", "IS02", "IS01", "IS00", "IS1", "IS12", "IS11", "IS10")
+NON_IS_TAGS = tuple(_CLOSED_PROPS)
+
+IS_TAGS = tuple(IS_TEMPLATES)
 
 ALL_TAGS = NON_IS_TAGS + IS_TAGS
 
@@ -63,23 +77,6 @@ class CoCloneId:
 
 
 # --- the lattice ----------------------------------------------------------
-
-# Implication-closed property sets of the property-based labels.  A relation
-# lies in such a label iff it has each of the label's properties.
-_CLOSED_PROPS: dict[str, frozenset[str]] = {k: frozenset(v) for k, v in {
-    "II2": (), "II0": ("zero",), "II1": ("one",), "II": ("zero", "one"),
-    "IN2": ("comp",), "IN": ("comp", "zero", "one"),
-    "IE2": ("horn",), "IE0": ("horn", "zero"), "IE1": ("horn", "one"), "IE": ("horn", "zero", "one"),
-    "IV2": ("dual",), "IV0": ("dual", "zero"), "IV1": ("dual", "one"), "IV": ("dual", "zero", "one"),
-    "IL2": ("affine",), "IL0": ("affine", "zero"), "IL1": ("affine", "one"),
-    "IL": ("affine", "zero", "one", "comp"), "IL3": ("affine", "comp"),
-    "ID2": ("bij",), "ID1": ("bij", "affine"), "ID": ("bij", "affine", "comp"),
-    "IM2": ("horn", "dual", "bij"), "IM0": ("horn", "dual", "bij", "zero"),
-    "IM1": ("horn", "dual", "bij", "one"), "IM": ("horn", "dual", "bij", "zero", "one"),
-    "IR2": ("horn", "dual", "bij", "affine"), "IR0": ("horn", "dual", "bij", "affine", "zero"),
-    "IR1": ("horn", "dual", "bij", "affine", "one"),
-    "IBF": ("horn", "dual", "bij", "affine", "comp", "zero", "one"),
-}.items()}
 
 # Clause templates of the labels that clauses alone generate.
 _CLAUSE_TEMPLATES: dict[str, frozenset[str]] = {k: frozenset(v) for k, v in {
@@ -225,119 +222,71 @@ def identify_coclone(language: ConstraintLanguage) -> CoCloneId:
 # --- weak-base registry --------------------------------------------------
 
 
-def _rel(name: str, arity: int, pred) -> Relation:
-    return Relation.from_tuples(name, arity,
-                                [t for t in product((0, 1), repeat=arity) if pred(*t)])
+def _stock(rel: Relation) -> tuple[int, Callable[..., bool]]:
+    return rel.arity, lambda *t: t in rel
 
 
-def _weak_base_fixed(tag: str) -> Relation:
-    if tag == "IBF":
-        return build_named_relation("EQ").renamed("R_IBF")
-    if tag == "IR0":
-        return build_named_relation("F").renamed("R_IR0")
-    if tag == "IR1":
-        return build_named_relation("T").renamed("R_IR1")
-    if tag == "IR2":
-        return _rel("R_IR2", 2, lambda a, b: a == 0 and b == 1)
-    if tag == "IM":
-        return build_named_relation("IMPL").renamed("R_IM")
-    if tag == "IM0":
-        return _rel("R_IM0", 3, lambda a, b, f: a <= b and f == 0)
-    if tag == "IM1":
-        return _rel("R_IM1", 3, lambda a, b, t: a <= b and t == 1)
-    if tag == "IM2":
-        return _rel("R_IM2", 4, lambda a, b, f, t: a <= b and f == 0 and t == 1)
-    if tag == "ID":
-        return build_named_relation("NEQ").renamed("R_ID")
-    if tag == "ID1":
-        return _rel("R_ID1", 4, lambda a, b, f, t: a != b and f == 0 and t == 1)
-    if tag == "ID2":
-        return _rel("R_ID2", 6,
-                    lambda a, b, c, d, f, t: (a or b) and a != c and b != d and f == 0 and t == 1)
-    if tag == "IL":
-        return build_named_relation("EVEN", 4).renamed("R_IL")
-    if tag == "IL0":
-        return _rel("R_IL0", 4, lambda a, b, c, f: (a + b + c) % 2 == 0 and f == 0)
-    if tag == "IL1":
-        return _rel("R_IL1", 4, lambda a, b, c, t: (a + b + c) % 2 == 1 and t == 1)
-    if tag == "IL2":
-        even3neq = build_named_relation("EVEN_KNEQ", 3)
-        return Relation.from_tuples(
-            "R_IL2", 8, [t + (0, 1) for t in even3neq.tuples()])
-    if tag == "IL3":
-        return build_named_relation("EVEN_KNEQ", 4).renamed("R_IL3")
-    if tag == "IV":
-        return _rel("R_IV", 4, lambda a, b, c, d: a == (b | c) and (b & c or d == 0))
-    if tag == "IV0":
-        return _rel("R_IV0", 4, lambda a, b, c, f: a == (b | c) and f == 0)
-    if tag == "IV1":
-        return _rel("R_IV1", 5,
-                    lambda a, b, c, d, t: a == (b | c) and (b & c or d == 0) and t == 1)
-    if tag == "IV2":
-        return _rel("R_IV2", 5, lambda a, b, c, f, t: a == (b | c) and f == 0 and t == 1)
-    if tag == "IE":
-        return _rel("R_IE", 4, lambda a, b, c, d: a == (b & c) and (not (b | c) or d == 1))
-    if tag == "IE0":
-        return _rel("R_IE0", 5,
-                    lambda a, b, c, d, f: a == (b & c) and (not (b | c) or d == 1) and f == 0)
-    if tag == "IE1":
-        return _rel("R_IE1", 4, lambda a, b, c, t: a == (b & c) and t == 1)
-    if tag == "IE2":
-        return _rel("R_IE2", 5, lambda a, b, c, f, t: a == (b & c) and f == 0 and t == 1)
-    if tag == "IN":
-        return _rel("R_IN", 4,
-                    lambda a, b, c, d: (a + b + c + d) % 2 == 0 and (a & d) == (b & c))
-    if tag == "IN2":
-        # The even/disequality defining formula and the printed matrix of this
-        # base disagree in the literature trail; the local-replacement
-        # reductions only work with the matrix, so the matrix wins.
-        return Relation.from_rows("R_IN2", 8, [
-            "00001111", "00110011", "01010101", "10101010", "11001100", "11110000"])
-    if tag == "II":
-        return _rel("R_II", 4, lambda a, b, c, d: a == (b & c) and d == (b | c))
-    if tag == "II0":
-        return _rel("R_II0", 4,
-                    lambda a, b, c, f: not (a and b) and c == (a | b) and f == 0)
-    if tag == "II1":
-        return _rel("R_II1", 4, lambda a, b, c, t: (a or b) and c == (a & b) and t == 1)
-    if tag == "II2":
-        r13 = build_named_relation("R13NEQ")
-        return Relation.from_tuples("R_II2", 8, [t + (0, 1) for t in r13.tuples()])
-    raise AssertionError(tag)
+# The core of each property label's weak base, as its arity and membership
+# test; labels sharing a core differ only in their constant coordinates.
+_CORES: dict[str, tuple[int, Callable[..., bool]]] = {tag: core for tags, core in (
+    ("IR0 IR1 IR2", (0, lambda: True)),
+    ("IBF", _stock(build_named_relation("EQ"))),
+    ("IM IM0 IM1 IM2", _stock(build_named_relation("IMPL"))),
+    ("ID ID1", _stock(build_named_relation("NEQ"))),
+    ("ID2", (4, lambda a, b, c, d: (a or b) and a != c and b != d)),
+    ("IL", _stock(build_named_relation("EVEN", 4))),
+    ("IL0", _stock(build_named_relation("EVEN", 3))),
+    ("IL1", _stock(build_named_relation("XOR", 3))),
+    ("IL2", _stock(build_named_relation("EVEN_KNEQ", 3))),
+    ("IL3", _stock(build_named_relation("EVEN_KNEQ", 4))),
+    ("IV IV1", (4, lambda a, b, c, d: a == (b | c) and (b & c or d == 0))),
+    ("IV0 IV2", (3, lambda a, b, c: a == (b | c))),
+    ("IE IE0", (4, lambda a, b, c, d: a == (b & c) and (not (b | c) or d == 1))),
+    ("IE1 IE2", (3, lambda a, b, c: a == (b & c))),
+    ("IN", (4, lambda a, b, c, d: (a + b + c + d) % 2 == 0 and (a & d) == (b & c))),
+    # The even/disequality defining formula and the printed matrix of this
+    # base disagree in the literature trail; the local-replacement
+    # reductions only work with the matrix, so the matrix wins.
+    ("IN2", _stock(Relation.from_rows("IN2", 8, [
+        "00001111", "00110011", "01010101", "10101010", "11001100", "11110000"]))),
+    ("II", (4, lambda a, b, c, d: a == (b & c) and d == (b | c))),
+    ("II0", (3, lambda a, b, c: not (a and b) and c == (a | b))),
+    ("II1", (3, lambda a, b, c: (a or b) and c == (a & b))),
+    ("II2", _stock(build_named_relation("R13NEQ"))),
+) for tag in tags.split()}
 
 
-def _weak_base_is(tag: str, k: int) -> Relation:
-    def orr(t: tuple[int, ...]) -> bool:
-        return any(t[:k])
+def _core(c: CoCloneId) -> tuple[int, Callable[..., bool]]:
+    """The arity and membership test of the label's core.  An IS chain's
+    core is its width-k clause (OR on a pos chain, NAND on a neg chain);
+    with the "impl" template it gains one coordinate, which implies every
+    clause coordinate on a pos chain and is implied by each on a neg chain."""
+    if c.tag not in IS_TEMPLATES:
+        return _CORES[c.tag]
+    k, kinds = c.width, IS_TEMPLATES[c.tag]
+    pos = "pos" in kinds
 
-    def nand(t: tuple[int, ...]) -> bool:
-        return not all(t[:k])
+    def member(*t: int) -> bool:
+        clause = t[:k]
+        return ((any(clause) if pos else not all(clause))
+                and all((e <= x) if pos else (x <= e) for e in t[k:] for x in clause))
 
-    # extra coordinates beyond the k clause ones, and the membership test
-    extra, member = {
-        "IS0": (1, lambda t: orr(t) and t[k] == 1),
-        "IS02": (2, lambda t: orr(t) and t[k] == 0 and t[k + 1] == 1),
-        "IS01": (2, lambda t: orr(t) and (not t[k] or all(t[:k])) and t[k + 1] == 1),
-        "IS00": (3, lambda t: orr(t) and (not t[k] or all(t[:k])) and t[k + 1] == 0 and t[k + 2] == 1),
-        "IS1": (1, lambda t: nand(t) and t[k] == 0),
-        "IS12": (2, lambda t: nand(t) and t[k] == 0 and t[k + 1] == 1),
-        "IS11": (2, lambda t: nand(t) and all(x <= t[k] for x in t[:k]) and t[k + 1] == 0),
-        "IS10": (3, lambda t: nand(t) and all(x <= t[k] for x in t[:k])
-                 and t[k + 1] == 0 and t[k + 2] == 1),
-    }[tag]
-    if k + extra > MAX_ARITY:
-        raise GuardError(f"{CoCloneId(tag, k)} weak base would have arity {k + extra} > {MAX_ARITY}")
-    return Relation.from_tuples(f"R_{tag}_{k}", k + extra,
-                                filter(member, product((0, 1), repeat=k + extra)))
+    return k + ("impl" in kinds), member
 
 
 @lru_cache(maxsize=None)
 def weak_base(c: CoCloneId) -> Relation:
-    """The minimal weak base of a labeled co-clone."""
-    if c.tag in IS_TAGS:
-        assert c.width is not None
-        return _weak_base_is(c.tag, c.width)
-    return _weak_base_fixed(c.tag)
+    """The minimal weak base of a labeled co-clone: the label's core, then a
+    coordinate fixed to 0 if IR0 lies below the label, then one fixed to 1
+    if IR1 does."""
+    arity, member = _core(c)
+    consts = tuple(v for v, low in ((0, "IR0"), (1, "IR1")) if coclone_leq(CoCloneId(low), c))
+    n = arity + len(consts)
+    if n > MAX_ARITY:
+        raise GuardError(f"{c} weak base would have arity {n} > {MAX_ARITY}")
+    name = f"R_{c.tag}" if c.width is None else f"R_{c.tag}_{c.width}"
+    return Relation.from_tuples(name, n, (t + consts for t in product((0, 1), repeat=arity)
+                                          if member(*t)))
 
 
 def all_labels(widths: tuple[int, ...] = (2, 3, 4)) -> list[CoCloneId]:

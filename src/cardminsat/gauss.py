@@ -66,12 +66,7 @@ class GF2Solver:
 
     def add(self, vars: Sequence[str], parity: int) -> None:
         """Add the equation ``xor(vars) = parity``; repetitions cancel."""
-        self.add_checks(vars, ((range(len(vars)), parity & 1),))
-
-    def add_checks(self, vs: Sequence[str], checks: Iterable[ParityCheck]) -> None:
-        """Add ``xor(vs[j] for j in coords) = parity`` for each
-        ``(coords, parity)``: the one-row case of `fold`."""
-        self.fold(((vs, checks),))
+        self.fold([(vars, [(range(len(vars)), parity & 1)])])
 
     def fold(self, rows: Iterable[tuple[Sequence[str], Iterable[ParityCheck]]]) -> None:
         """For each row ``(vs, checks)``, add ``xor(vs[j] for j in coords) =

@@ -203,3 +203,16 @@ def test_weak_base_wider_than_the_arity_limit_is_refused(or2_files, capsys):
     assert "arity 21 > 16" in capsys.readouterr().err
     assert run(["weakbase", "IS0", "--width", "15"]) == 0
     assert "relation R_IS0_15 16" in capsys.readouterr().out
+
+
+def test_reading_a_directory_is_an_input_error(or2_files, capsys):
+    for argv in (["classify", str(or2_files)], ["abduce", str(or2_files), "--hyp", "a"]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_reduce_onto_a_directory_is_an_input_error(or2_files, capsys):
+    (or2_files / "d.rel").mkdir()
+    assert run(["reduce", str(or2_files / "f.cms"), "--target", "IL2",
+                "--out", str(or2_files / "d")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

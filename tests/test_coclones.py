@@ -1,3 +1,4 @@
+import hashlib
 import random
 from pathlib import Path
 
@@ -5,8 +6,8 @@ import pytest
 
 from cardminsat import (Bucket, ConstraintLanguage, CoCloneId, all_labels, bucket_for_coclone,
                         build_named_relation, classify_cms, cms_bucket, coclone_leq,
-                        format_verdict, identify_coclone, language_in_coclone, load_formula_file,
-                        load_language, Relation, relation_in_coclone, weak_base)
+                        format_verdict, GuardError, identify_coclone, language_in_coclone,
+                        load_formula_file, load_language, Relation, relation_in_coclone, weak_base)
 
 from helpers import EQ, IMPL, NAE3, NEQ, OR2, T, XOR3
 
@@ -49,6 +50,24 @@ def test_weak_base_is_families():
     is0 = weak_base(CoCloneId("IS0", 3))
     assert is0.arity == 4
     assert all(any(t[:3]) and t[3] == 1 for t in is0.tuples())
+
+
+# sha256 of one line per label of all_labels(range(2, 17)): the weak base's
+# name, arity and row bitset, or the guard's message when it refuses
+WEAK_BASE_DIGEST = "244b07fbea7aef8432943ca19b212b4e13580ceac383e7df4c4c48c8e4e1d87f"
+
+
+def test_every_weak_base_is_pinned():
+    lines = []
+    for c in all_labels(tuple(range(2, 17))):
+        try:
+            r = weak_base(c)
+        except GuardError as exc:
+            lines.append(f"{c} GuardError {exc}")
+        else:
+            lines.append(f"{c} {r.name} {r.arity} {hex(r.rows)}")
+    assert len(lines) == 150
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WEAK_BASE_DIGEST
 
 
 def test_coclone_id_validation_and_str():
