@@ -27,8 +27,7 @@ for step, out in zip(pipeline.steps, pipeline.run(source, query)):
     if all(is_affine(rel) for rel in formula.relations()):
         sat, mw, verdict = cms_affine(formula, out.query)
     else:
-        a = cms_bruteforce(formula, out.query)
-        sat, mw, verdict = a.min_weight is not None, a.min_weight, a.verdict
+        sat, mw, verdict = cms_bruteforce(formula, out.query).key()
     answer = verdict and (out.bound is None or mw <= out.bound)
     bound = f" bound {out.bound}" if out.bound is not None else ""
     assert answer == expected.verdict

@@ -7,8 +7,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import GuardError, PreconditionError
-from .formulas import (Assignment, CmsAnswer, CmsStarInstance, Formula, IN_MIN_MODEL,
-                       QUERY_FALSE, UNSATISFIABLE, require_query)
+from .formulas import Assignment, CmsAnswer, CmsStarInstance, Formula, require_query
 from .relations import index_to_tuple
 from . import search
 
@@ -76,16 +75,13 @@ def cms_bruteforce(formula: Formula, query: str, max_vars: int = DEFAULT_MAX_VAR
                 cand = int(sel.min())
                 if best_q is None or cand < best_q:
                     best_q = cand
-    if min_weight is None:
-        return CmsAnswer(False, None, None, UNSATISFIABLE)
-    if best_q is None:
-        return CmsAnswer(False, min_weight, None, QUERY_FALSE)
-    return CmsAnswer(True, min_weight, _index_to_assignment(formula, best_q), IN_MIN_MODEL)
+    witness = None if best_q is None else _index_to_assignment(formula, best_q)
+    return CmsAnswer(min_weight, witness)
 
 
 def cms_star_bruteforce(instance: CmsStarInstance, max_vars: int = DEFAULT_MAX_VARS) -> bool:
     answer = cms_bruteforce(instance.formula, instance.query, max_vars)
-    return answer.verdict and answer.min_weight is not None and answer.min_weight <= instance.bound
+    return answer.verdict and answer.min_weight <= instance.bound
 
 
 def frozen_vars(formula: Formula, max_vars: int = DEFAULT_MAX_VARS) -> dict[str, int]:

@@ -192,16 +192,20 @@ def least_width(rel: Relation, kinds: tuple[str, ...]) -> int | None:
 # ---------------------------------------------------------------------------
 
 
+# The report flags of a fingerprint, each with the properties it needs.
+_FLAGS: dict[str, frozenset[str]] = {name: frozenset(keys.split()) for name, keys in (
+    ("zero_valid", "zero"), ("one_valid", "one"), ("complementive", "comp"), ("horn", "horn"),
+    ("dual_horn", "dual"), ("bijunctive", "bij"), ("affine", "affine"),
+    ("width2_affine", "affine bij"))}
+
+
 @dataclass(frozen=True)
 class PropertyFingerprint:
-    zero_valid: bool
-    one_valid: bool
-    complementive: bool
-    horn: bool
-    dual_horn: bool
-    bijunctive: bool
-    affine: bool
-    width2_affine: bool
+    """The properties every relation of a language has, and for each width k
+    whether the IS00 (pos_width) or IS10 (neg_width) templates of clause
+    width k define every relation."""
+
+    props: frozenset[str]
     pos_width: tuple[tuple[int, bool], ...]
     neg_width: tuple[tuple[int, bool], ...]
 
@@ -212,24 +216,16 @@ class PropertyFingerprint:
         return dict(self.neg_width).get(k, False)
 
     def flags(self) -> dict[str, bool]:
-        return {
-            "zero_valid": self.zero_valid,
-            "one_valid": self.one_valid,
-            "complementive": self.complementive,
-            "horn": self.horn,
-            "dual_horn": self.dual_horn,
-            "bijunctive": self.bijunctive,
-            "affine": self.affine,
-            "width2_affine": self.width2_affine,
-        }
+        return {name: need <= self.props for name, need in _FLAGS.items()}
 
 
 @lru_cache(maxsize=2048)
-def relation_properties(rel: Relation) -> dict[str, bool]:
-    """The seven basic closure/validity properties of one relation, read off
-    its membership table (index complement = table reversal)."""
+def relation_properties(rel: Relation) -> frozenset[str]:
+    """The keys of the seven basic closure/validity properties that one
+    relation has, read off its membership table (index complement = table
+    reversal)."""
     table = rel.table()
-    return {
+    has = {
         "zero": rel.zero_valid,
         "one": rel.one_valid,
         "comp": bool((table == table[::-1]).all()),
@@ -238,6 +234,7 @@ def relation_properties(rel: Relation) -> dict[str, bool]:
         "bij": bool((saturated_models(rel, ("impl", "pos", "neg"), 2) == table).all()),
         "affine": is_affine(rel),
     }
+    return frozenset(key for key, value in has.items() if value)
 
 
 def _width_flags(language: ConstraintLanguage, kinds: tuple[str, ...]) -> tuple[tuple[int, bool], ...]:
@@ -247,26 +244,10 @@ def _width_flags(language: ConstraintLanguage, kinds: tuple[str, ...]) -> tuple[
 
 
 def fingerprint(language: ConstraintLanguage) -> PropertyFingerprint:
-    """Each flag holds iff every relation in the language has the property."""
-    props = [relation_properties(r) for r in language]
-
-    def every(key: str) -> bool:
-        return all(p[key] for p in props)
-
-    affine = every("affine")
-    bij = every("bij")
-    return PropertyFingerprint(
-        zero_valid=every("zero"),
-        one_valid=every("one"),
-        complementive=every("comp"),
-        horn=every("horn"),
-        dual_horn=every("dual"),
-        bijunctive=bij,
-        affine=affine,
-        width2_affine=affine and bij,
-        pos_width=_width_flags(language, IS_TEMPLATES["IS00"]),
-        neg_width=_width_flags(language, IS_TEMPLATES["IS10"]),
-    )
+    """The properties and clause widths every relation in the language has."""
+    return PropertyFingerprint(frozenset.intersection(*map(relation_properties, language)),
+                               _width_flags(language, IS_TEMPLATES["IS00"]),
+                               _width_flags(language, IS_TEMPLATES["IS10"]))
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     out_prefix = Path(args.out)
     rel_path = out_prefix.with_suffix(".rel")
     cms_path = out_prefix.with_suffix(".cms")
-    language = ConstraintLanguage(tuple(final.formula.relations()))
+    language = ConstraintLanguage.of(weak_base(target))  # the one relation every final stage uses
     rel_path.write_text(render_language(language))
     out_doc = FormulaFile(final.formula, language, final.query, (rel_path.name,))
     cms_path.write_text(render_formula_file(out_doc))
@@ -145,9 +145,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # before any engine is started
     brute = cms_bruteforce(doc.formula, query)
     engine_report = dispatch(doc.language, doc.formula, query)
-    agree = engine_report.answer.key() == brute.key()
-    if agree and engine_report.answer.verdict:
-        agree = engine_report.answer.witness == brute.witness
+    agree = engine_report.answer == brute
     sys.stdout.write(f"engine={engine_report.engine.value}\n")
     sys.stdout.write(f"engine_answer={'yes' if engine_report.answer.verdict else 'no'}\n")
     sys.stdout.write(f"brute_answer={'yes' if brute.verdict else 'no'}\n")

@@ -119,8 +119,7 @@ def _is_member(rel: Relation, tag: str, width: int | None) -> bool:
     if tag in IS_TEMPLATES:
         least = least_width(rel, IS_TEMPLATES[tag])
         return least is not None and least <= width
-    props = relation_properties(rel)
-    return all(props[p] for p in _CLOSED_PROPS[tag])
+    return _CLOSED_PROPS[tag] <= relation_properties(rel)
 
 
 def relation_in_coclone(rel: Relation, c: CoCloneId) -> bool:
@@ -158,44 +157,44 @@ class Bucket(enum.Enum):
     THETA2_COMPLETE = "Theta2Complete"
 
 
-def _bucket(has: Callable[[str], bool]) -> Bucket:
+def _bucket(props: frozenset[str]) -> Bucket:
     """0-valid is trivial (the answer is always no, the all-zero model being
     the unique minimum); otherwise Horn and width-2-affine (affine and
     bijunctive) are polynomial and everything else is complete for
     polynomial time with logarithmically many NP-oracle calls."""
-    if has("zero"):
+    if "zero" in props:
         return Bucket.TRIVIAL_0VALID
-    if has("horn"):
+    if "horn" in props:
         return Bucket.POLY_HORN
-    if has("affine") and has("bij"):
+    if {"affine", "bij"} <= props:
         return Bucket.POLY_WIDTH2_AFFINE
     return Bucket.THETA2_COMPLETE
 
 
 def bucket_for_coclone(c: CoCloneId) -> Bucket:
     """The tractability bucket a co-clone's lattice position dictates."""
-    return _bucket(_props(c).__contains__)
+    return _bucket(_props(c))
 
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
-    bucket: Bucket
     fingerprint: PropertyFingerprint
     coclone: CoCloneId
+
+    @property
+    def bucket(self) -> Bucket:
+        return _bucket(self.fingerprint.props)
 
 
 def cms_bucket(language: ConstraintLanguage) -> Bucket:
     """The tractability bucket of the minimum-weight query problem: the
     bucket of the properties every relation of the language has."""
-    props = [relation_properties(r) for r in language]
-    return _bucket(lambda key: all(p[key] for p in props))
+    return _bucket(frozenset.intersection(*map(relation_properties, language)))
 
 
 def classify_cms(language: ConstraintLanguage) -> ClassificationVerdict:
-    """The bucket together with the full property fingerprint and the
-    co-clone of the language."""
-    return ClassificationVerdict(cms_bucket(language), fingerprint(language),
-                                 identify_coclone(language))
+    """The full property fingerprint and the co-clone of the language."""
+    return ClassificationVerdict(fingerprint(language), identify_coclone(language))
 
 
 def identify_coclone(language: ConstraintLanguage) -> CoCloneId:

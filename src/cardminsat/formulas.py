@@ -129,26 +129,35 @@ class Assignment:
         return "".join(map(str, self.values))
 
 
-IN_MIN_MODEL = "in-min-model"
-UNSATISFIABLE = "unsatisfiable"
-QUERY_FALSE = "query-false-in-all-min-models"
-
-
 @dataclass(frozen=True)
 class CmsAnswer:
-    """Answer to: is the query atom true in some minimum-weight model?"""
+    """Answer to: is the query atom true in some minimum-weight model?
 
-    verdict: bool
+    ``min_weight`` is the least weight of a model (None when there is none)
+    and ``witness`` a minimum-weight model setting the query atom to 1 (None
+    when there is none); the verdict and its reason follow from the two.
+    """
+
     min_weight: int | None
     witness: Assignment | None
-    reason: str
 
     def __post_init__(self) -> None:
-        if self.verdict != (self.witness is not None):
-            raise ValueError("witness must be present exactly when the verdict is yes")
+        if self.min_weight is None and self.witness is not None:
+            raise ValueError("an unsatisfiable answer has no witness")
 
-    def key(self) -> tuple[bool, int | None]:
-        return (self.verdict, self.min_weight)
+    @property
+    def verdict(self) -> bool:
+        return self.witness is not None
+
+    @property
+    def reason(self) -> str:
+        if self.witness is not None:
+            return "in-min-model"
+        return "unsatisfiable" if self.min_weight is None else "query-false-in-all-min-models"
+
+    def key(self) -> tuple[bool, int | None, bool]:
+        """(satisfiable, min_weight, verdict), as ``gauss.cms_affine`` gives."""
+        return (self.min_weight is not None, self.min_weight, self.verdict)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -181,13 +181,31 @@ class ConstraintLanguage:
 # Named relation families
 # ---------------------------------------------------------------------------
 
-FAMILIES = ("OR", "NAND", "XOR", "EVEN", "EVEN_KNEQ", "NAE3", "R13NEQ", "T", "F", "EQ", "NEQ", "IMPL")
+# The fixed-arity families, as (arity, matrix rows).
+_FIXED: dict[str, tuple[int, tuple[str, ...]]] = {
+    "NAE3": (3, ("001", "010", "011", "100", "101", "110")),
+    "R13NEQ": (6, ("100011", "010101", "001110")),
+    "T": (1, ("1",)),
+    "F": (1, ("0",)),
+    "EQ": (2, ("00", "11")),
+    "NEQ": (2, ("01", "10")),
+    "IMPL": (2, ("00", "01", "11")),
+}
+
+# The parameterized families, as (name pattern, arity per k, test on a
+# tuple index i at parameter k).  EVEN_KNEQ(k) pairs an even-weight first
+# half with its coordinate-wise complement.
+_PARAMETERIZED: dict[str, tuple[str, int, Callable[[int, int], bool]]] = {
+    "OR": ("OR{k}", 1, lambda i, k: i != 0),
+    "NAND": ("NAND{k}", 1, lambda i, k: i != (1 << k) - 1),
+    "XOR": ("XOR{k}", 1, lambda i, k: i.bit_count() % 2 == 1),
+    "EVEN": ("EVEN{k}", 1, lambda i, k: i.bit_count() % 2 == 0),
+    "EVEN_KNEQ": ("EVEN{k}NEQ", 2,
+                  lambda i, k: (i >> k) ^ (i & ((1 << k) - 1)) == (1 << k) - 1
+                  and (i >> k).bit_count() % 2 == 0),
+}
 
 _PARAM_MAX_K = 8
-
-
-def _parity(idx: int) -> int:
-    return idx.bit_count() & 1
 
 
 def build_named_relation(family: str, k: int | None = None) -> Relation:
@@ -195,49 +213,16 @@ def build_named_relation(family: str, k: int | None = None) -> Relation:
 
     ``k`` is required for the parameterized families (OR, NAND, XOR, EVEN,
     EVEN_KNEQ) with 1 <= k <= 8 and ignored for the fixed-arity ones.
-    EVEN_KNEQ(k) is the 2k-ary relation pairing an even-weight first half
-    with its coordinate-wise complement.
     """
-    if family not in FAMILIES:
+    if family in _FIXED:
+        return Relation.from_rows(family, *_FIXED[family])
+    if family not in _PARAMETERIZED:
         raise ValueError(f"unknown relation family {family!r}")
-    if family in ("OR", "NAND", "XOR", "EVEN", "EVEN_KNEQ"):
-        if k is None:
-            raise ValueError(f"family {family} needs an arity parameter")
-        if not 1 <= k <= _PARAM_MAX_K:
-            raise GuardError(f"family {family} arity parameter must be in [1, {_PARAM_MAX_K}]")
-    if family == "OR":
-        return Relation(f"OR{k}", k, ((1 << (1 << k)) - 1) & ~1)
-    if family == "NAND":
-        full = (1 << (1 << k)) - 1
-        return Relation(f"NAND{k}", k, full & ~(1 << ((1 << k) - 1)))
-    if family == "XOR":
-        rows = sum(1 << i for i in range(1 << k) if _parity(i))
-        return Relation(f"XOR{k}", k, rows)
-    if family == "EVEN":
-        rows = sum(1 << i for i in range(1 << k) if not _parity(i))
-        return Relation(f"EVEN{k}", k, rows)
-    if family == "EVEN_KNEQ":
-        assert k is not None
-        if 2 * k > MAX_ARITY:
-            raise GuardError(f"EVEN_KNEQ({k}) would have arity {2 * k} > {MAX_ARITY}")
-        mask = (1 << k) - 1
-        rows = 0
-        for half in range(1 << k):
-            if not _parity(half):
-                rows |= 1 << ((half << k) | (~half & mask))
-        return Relation(f"EVEN{k}NEQ", 2 * k, rows)
-    if family == "NAE3":
-        return Relation("NAE3", 3, 0b01111110)
-    if family == "R13NEQ":
-        return Relation.from_rows("R13NEQ", 6, ["100011", "010101", "001110"])
-    if family == "T":
-        return Relation("T", 1, 0b10)
-    if family == "F":
-        return Relation("F", 1, 0b01)
-    if family == "EQ":
-        return Relation("EQ", 2, 0b1001)
-    if family == "NEQ":
-        return Relation("NEQ", 2, 0b0110)
-    if family == "IMPL":
-        return Relation("IMPL", 2, 0b1011)
-    raise AssertionError(family)
+    if k is None:
+        raise ValueError(f"family {family} needs an arity parameter")
+    if not 1 <= k <= _PARAM_MAX_K:
+        raise GuardError(f"family {family} arity parameter must be in [1, {_PARAM_MAX_K}]")
+    name, per_k, member = _PARAMETERIZED[family]
+    arity = per_k * k
+    return Relation(name.format(k=k), arity,
+                    sum(1 << i for i in range(1 << arity) if member(i, k)))

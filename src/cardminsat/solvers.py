@@ -11,8 +11,7 @@ from .bruteforce import cms_bruteforce
 from .classify import relation_properties
 from .coclones import Bucket, cms_bucket
 from .errors import PreconditionError
-from .formulas import (Assignment, CmsAnswer, Formula, IN_MIN_MODEL, QUERY_FALSE,
-                       UNSATISFIABLE, require_query)
+from .formulas import Assignment, CmsAnswer, Formula, require_query
 from .gauss import affine_parity_checks
 from .relations import ConstraintLanguage, Relation
 
@@ -54,17 +53,14 @@ def solve_horn(formula: Formula, query: str) -> SolveReport:
     """
     require_query(formula, query)
     for rel in formula.relations():
-        if not relation_properties(rel)["horn"]:
+        if "horn" not in relation_properties(rel):
             raise PreconditionError(f"relation {rel.name} is not Horn; refusing to run the Horn engine")
     forced = search.propagate(formula)
     if forced is None:
-        return SolveReport(CmsAnswer(False, None, None, UNSATISFIABLE), Engine.HORN_FIXPOINT)
+        return SolveReport(CmsAnswer(None, None), Engine.HORN_FIXPOINT)
     values = tuple(1 if b == 1 else 0 for b in forced)
-    min_weight = sum(values)
-    if values[formula.universe.index(query)]:
-        witness = Assignment(formula.universe, values)
-        return SolveReport(CmsAnswer(True, min_weight, witness, IN_MIN_MODEL), Engine.HORN_FIXPOINT)
-    return SolveReport(CmsAnswer(False, min_weight, None, QUERY_FALSE), Engine.HORN_FIXPOINT)
+    witness = Assignment(formula.universe, values) if values[formula.universe.index(query)] else None
+    return SolveReport(CmsAnswer(sum(values), witness), Engine.HORN_FIXPOINT)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +134,7 @@ def solve_width2affine(formula: Formula, query: str) -> SolveReport:
             # a unit check ties its variable to the constant; union(x, x, 1) flags unsat
             dsu.union(vs[coords[0]], vs[coords[1]] if len(coords) == 2 else dsu.ZERO, parity)
     if dsu.unsat:
-        return SolveReport(CmsAnswer(False, None, None, UNSATISFIABLE), Engine.WIDTH2_AFFINE)
+        return SolveReport(CmsAnswer(None, None), Engine.WIDTH2_AFFINE)
     # (root, parity) of each variable in some check; the others are 0 in every minimum model
     rooted = [dsu.find(v) if v in dsu.parent else None for v in formula.universe]
     choice: dict[str, int] = {}  # component root -> value of the root
@@ -166,18 +162,16 @@ def solve_width2affine(formula: Formula, query: str) -> SolveReport:
         if root != zero_root and n1 != n0:
             choice[root] = int(n0 < n1)
     min_weight = sum(cost(root, b) for root, b in choice.items())
-    query_yes = False
+    witness = None
     q = rooted[formula.universe.index(query)]
     if q is not None:
         qroot, qpar = q
         if qroot != zero_root and cost(qroot, qpar ^ 1) <= cost(qroot, qpar):
             choice[qroot] = qpar ^ 1  # a minimum model with the query at 1
-        query_yes = qpar ^ choice[qroot] == 1
-    if not query_yes:
-        return SolveReport(CmsAnswer(False, min_weight, None, QUERY_FALSE), Engine.WIDTH2_AFFINE)
-    values = tuple(0 if rp is None else rp[1] ^ choice[rp[0]] for rp in rooted)
-    witness = Assignment(formula.universe, values)
-    return SolveReport(CmsAnswer(True, min_weight, witness, IN_MIN_MODEL), Engine.WIDTH2_AFFINE)
+        if qpar ^ choice[qroot]:
+            values = tuple(0 if rp is None else rp[1] ^ choice[rp[0]] for rp in rooted)
+            witness = Assignment(formula.universe, values)
+    return SolveReport(CmsAnswer(min_weight, witness), Engine.WIDTH2_AFFINE)
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +203,12 @@ def solve_generic(formula: Formula, query: str) -> SolveReport:
         else:
             least, hi = model, model.weight
     if least is None:
-        return SolveReport(CmsAnswer(False, None, None, UNSATISFIABLE), Engine.GENERIC_ORACLE, calls)
-    min_weight = lo
-    if least.value(query):
-        witness = least
-    else:
+        return SolveReport(CmsAnswer(None, None), Engine.GENERIC_ORACLE, calls)
+    witness = least
+    if not least.value(query):
         calls += 1
-        witness = search.find_model(formula, weight_bound=min_weight, forced={query: 1})
-    if witness is None:
-        return SolveReport(CmsAnswer(False, min_weight, None, QUERY_FALSE), Engine.GENERIC_ORACLE, calls)
-    return SolveReport(CmsAnswer(True, min_weight, witness, IN_MIN_MODEL), Engine.GENERIC_ORACLE, calls)
+        witness = search.find_model(formula, weight_bound=lo, forced={query: 1})
+    return SolveReport(CmsAnswer(lo, witness), Engine.GENERIC_ORACLE, calls)
 
 
 def solve_brute(formula: Formula, query: str) -> SolveReport:
@@ -239,7 +229,7 @@ def dispatch(language: ConstraintLanguage, formula: Formula, query: str) -> Solv
     bucket = cms_bucket(language)
     if bucket is Bucket.TRIVIAL_0VALID:
         # 0-valid language: the all-zero assignment is the unique minimum model.
-        return SolveReport(CmsAnswer(False, 0, None, QUERY_FALSE), Engine.TRIVIAL)
+        return SolveReport(CmsAnswer(0, None), Engine.TRIVIAL)
     if bucket is Bucket.POLY_HORN:
         return solve_horn(formula, query)
     if bucket is Bucket.POLY_WIDTH2_AFFINE:

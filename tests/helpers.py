@@ -32,7 +32,7 @@ def exact_cms(formula: Formula, query: str) -> tuple[bool, int | None, bool]:
         a = cms_bruteforce(formula, query)
     else:
         a = solve_generic(formula, query).answer
-    return (a.min_weight is not None, a.min_weight, a.verdict)
+    return a.key()
 
 
 def exact_verdict(formula: Formula, query: str, bound: int | None = None) -> bool:

@@ -1,8 +1,11 @@
 import pytest
 
-from cardminsat import (ConstraintLanguage, build_named_relation, render_language, render_pap,
-                        reduce_cms_xor3_to_relevance, Formula, constraint)
+from cardminsat import (CoCloneId, ConstraintLanguage, build_named_relation, compose_chain,
+                        render_language, render_pap, reduce_cms_xor3_to_relevance, weak_base,
+                        Formula, constraint)
 from cardminsat.cli import run
+from cardminsat.fileio import load_formula_file
+from cardminsat.reductions import OR2_WEAKBASE_TARGETS
 
 from helpers import EQ, NEQ, OR2, T, XOR3
 
@@ -81,8 +84,7 @@ def test_verify_disagreement_exit_code(or2_files, capsys, monkeypatch):
     from cardminsat import CmsAnswer, SolveReport, Engine
 
     def rigged(language, formula, query):
-        return SolveReport(CmsAnswer(False, 0, None, "query-false-in-all-min-models"),
-                           Engine.TRIVIAL)
+        return SolveReport(CmsAnswer(0, None), Engine.TRIVIAL)
 
     monkeypatch.setattr(cli, "dispatch", rigged)
     assert run(["verify", str(or2_files / "f.cms")]) == 4
@@ -100,10 +102,23 @@ def test_reduce_writes_outputs(or2_files, capsys):
     rel_file = out_prefix.with_suffix(".rel")
     cms_file = out_prefix.with_suffix(".cms")
     assert rel_file.is_file() and cms_file.is_file()
-    from cardminsat.fileio import load_formula_file
     doc = load_formula_file(cms_file)
     assert doc.query == "x"
     assert all(c.relation.name == "R_IL2" for c in doc.formula.constraints)
+
+
+@pytest.mark.parametrize("tag", OR2_WEAKBASE_TARGETS)
+def test_reduce_of_a_constraint_free_source_writes_a_loadable_pair(or2_files, tag, capsys):
+    (or2_files / "g.cms").write_text("lang lang.rel\nvar a b\nquery a\n")
+    width = ["--width", "2"] if tag.startswith("IS") else []
+    out = or2_files / f"out_{tag}"
+    assert run(["reduce", str(or2_files / "g.cms"), "--target", tag, *width,
+                "--out", str(out)]) == 0, capsys.readouterr().err
+    target = CoCloneId(tag, 2 if width else None)
+    doc = load_formula_file(out.with_suffix(".cms"))
+    assert list(doc.language) == [weak_base(target)]
+    final = compose_chain(target).run(Formula.of([], ("a", "b")), "a")[-1]
+    assert doc.formula == final.formula and doc.query == final.query
 
 
 def test_reduce_rejects_polynomial_target(or2_files):

@@ -45,10 +45,15 @@ def test_assignment_basics():
 
 
 def test_cms_answer_witness_invariant():
+    witness = Assignment(("x",), (1,))
+    yes, no, unsat = CmsAnswer(1, witness), CmsAnswer(1, None), CmsAnswer(None, None)
+    assert (yes.verdict, yes.reason, yes.key()) == (True, "in-min-model", (True, 1, True))
+    assert (no.verdict, no.reason, no.key()) == (False, "query-false-in-all-min-models",
+                                                 (True, 1, False))
+    assert (unsat.verdict, unsat.reason, unsat.key()) == (False, "unsatisfiable",
+                                                          (False, None, False))
     with pytest.raises(ValueError):
-        CmsAnswer(True, 1, None, "in-min-model")
-    with pytest.raises(ValueError):
-        CmsAnswer(False, 1, Assignment(("x",), (1,)), "query-false-in-all-min-models")
+        CmsAnswer(None, witness)
 
 
 def test_cms_star_instance_validation():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -38,6 +39,24 @@ def test_fixed_families():
     assert set(build_named_relation("IMPL").matrix_rows()) == {"00", "01", "11"}
     assert set(build_named_relation("NAE3").matrix_rows()) == {
         "001", "010", "011", "100", "101", "110"}
+
+
+# sha256 of one line per (family, k) for k = None, 0, 1, ..., 9: the relation's name, arity
+# and rows, or the error's type and message
+NAMED_RELATIONS_DIGEST = "5e3273abfe4c6c6cdae7d9ef5a5852f169f775cf38a7f974f45ed8feb10e9209"
+
+
+def test_every_named_relation_is_pinned():
+    lines = []
+    for family in ("OR", "NAND", "XOR", "EVEN", "EVEN_KNEQ", "NAE3", "R13NEQ", "T", "F", "EQ",
+                   "NEQ", "IMPL", "AND", "or"):
+        for k in (None, *range(10)):
+            try:
+                rel = build_named_relation(family, k)
+                lines.append(f"{family} {k} {rel.name} {rel.arity} {rel.rows:x}")
+            except (ValueError, GuardError) as exc:
+                lines.append(f"{family} {k} {type(exc).__name__}: {exc}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == NAMED_RELATIONS_DIGEST
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

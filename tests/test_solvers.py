@@ -208,11 +208,11 @@ def test_width2_affine_characterizations_agree():
             rels += [Relation("r", k, rows), Relation("r", k, rows ^ (1 << rng.randrange(1 << k))),
                      Relation("r", k, rng.getrandbits(1 << k))]
     for rel in rels:
-        props = relation_properties(rel)
+        w2a = {"affine", "bij"} <= relation_properties(rel)
         by_saturation = bool((saturated_models(rel, ("T", "F", "eq", "neq")) == rel.table()).all())
         checks = affine_parity_checks(rel)
         by_checks = checks is not None and all(len(coords) <= 2 for coords, _ in checks)
-        assert by_saturation == by_checks == (props["affine"] and props["bij"]), rel
+        assert by_saturation == by_checks == w2a, rel
         f = Formula.of([constraint(rel, *(f"x{i}" for i in range(rel.arity)))])
         if by_checks:
             assert solve_width2affine(f, "x0").answer.key() == cms_bruteforce(f, "x0").key()
