@@ -13,8 +13,8 @@ from .classify import (AND2, BoolOp, MAJ3, NOT1, OR2, PropertyFingerprint, close
                        conjunction_definability, fictitious_coordinates, fingerprint,
                        is_irredundant, pp_membership)
 from .coclones import (Bucket, ClassificationVerdict, CoCloneId, all_labels, bucket_for_coclone,
-                       classify_cms, cms_bucket, coclone_leq, format_verdict,
-                       identify_coclone, language_in_coclone, relation_in_coclone, weak_base)
+                       classify_cms, cms_bucket, coclone_leq, identify_coclone,
+                       language_in_coclone, relation_in_coclone, weak_base)
 from .errors import (CardMinSatError, GuardError, NoSolutionError, ParseError, PreconditionError)
 from .fileio import (FormulaFile, load_formula_file, load_language, parse_formula_file,
                      parse_language, render_formula_file, render_language, render_relation)
@@ -27,7 +27,7 @@ from .reductions import (ChainPipeline, ReductionOutput, ReductionStats, compose
                          reduce_xor4_to_xor3_xor2, restrict_model)
 from .relations import ConstraintLanguage, Relation, build_named_relation
 from .search import find_model, sat_leq
-from .solvers import (Engine, SolveReport, dispatch, oracle_budget, render_solve_report,
-                      solve_brute, solve_generic, solve_horn, solve_width2affine)
+from .solvers import (Engine, SolveReport, dispatch, oracle_budget, solve_brute, solve_generic,
+                      solve_horn, solve_width2affine)
 
 __version__ = "0.1.0"

@@ -93,23 +93,18 @@ def frozen_vars(formula: Formula, max_vars: int = DEFAULT_MAX_VARS) -> dict[str,
     if formula.num_vars > max_vars:
         return search.frozen_by_probing(formula)
     n = formula.num_vars
-    ones = np.ones(n, dtype=bool)
-    zeros = np.ones(n, dtype=bool)
-    seen = False
-    shifts = np.uint32(n - 1) - np.arange(n, dtype=np.uint32)
+    always, ever = -1, 0  # AND and OR of the model indices; no model leaves always at -1
     for chunk in _model_chunks(formula, n):
-        if not len(chunk):
-            continue
-        seen = True
-        bits = ((chunk[:, None] >> shifts[None, :]) & np.uint32(1)).astype(bool)
-        ones &= bits.all(axis=0)
-        zeros &= (~bits).all(axis=0)
-    if not seen:
+        if len(chunk):
+            always &= int(np.bitwise_and.reduce(chunk))
+            ever |= int(np.bitwise_or.reduce(chunk))
+    if always < 0:
         raise PreconditionError("formula is unsatisfiable; every variable is vacuously frozen")
     out: dict[str, int] = {}
     for j, v in enumerate(formula.universe):
-        if ones[j]:
+        bit = 1 << (n - 1 - j)
+        if always & bit:
             out[v] = 1
-        elif zeros[j]:
+        elif not ever & bit:
             out[v] = 0
     return out

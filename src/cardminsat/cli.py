@@ -9,18 +9,18 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .abduction import parse_pap, relevance_bruteforce
 from .bruteforce import cms_bruteforce
-from .coclones import CoCloneId, classify_cms, format_verdict, weak_base
+from .coclones import CoCloneId, classify_cms, weak_base
 from .errors import GuardError, NoSolutionError, ParseError, PreconditionError
 from .fileio import (FormulaFile, load_formula_file, load_language, render_formula_file,
                      render_language, render_relation)
-from .formulas import Formula
 from .reductions import compose_chain
 from .relations import ConstraintLanguage
-from .solvers import (Engine, dispatch, oracle_budget, render_solve_report, solve_brute,
-                      solve_generic, solve_horn, solve_width2affine)
+from .solvers import (Engine, dispatch, oracle_budget, solve_brute, solve_generic, solve_horn,
+                      solve_width2affine)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -73,27 +73,59 @@ def _query_of(doc, override: str | None) -> str:
     return query
 
 
+def _report(pairs: dict[str, object], title: str | None = None,
+            details: Iterable[str] = ()) -> None:
+    """Write a report: the title, its indented detail lines and a blank line
+    when there is a title, then one machine-readable key=value line per pair,
+    with None as `none` and a bool as `true`/`false`."""
+    lines = [] if title is None else [title, *(f"  {d}" for d in details), ""]
+    for key, value in pairs.items():
+        if value is None:
+            value = "none"
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        lines.append(f"{key}={value}")
+    sys.stdout.write("\n".join(lines) + "\n")
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
-    language = load_language(args.file)
-    sys.stdout.write(format_verdict(classify_cms(language)))
+    verdict = classify_cms(load_language(args.file))
+    fp = verdict.fingerprint
+    flags = fp.flags()
+    _report({"bucket": verdict.bucket.value, "coclone": verdict.coclone, **flags,
+             **{f"width_positive_{k}": v for k, v in fp.pos_width},
+             **{f"width_negative_{k}": v for k, v in fp.neg_width}},
+            "classification report",
+            (f"bucket: {verdict.bucket.value}", f"co-clone: {verdict.coclone}",
+             "properties: " + ", ".join(k for k, v in flags.items() if v)))
     return EXIT_OK
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     doc = load_formula_file(args.file)
-    query = _query_of(doc, args.query)
-    if args.engine == "auto":
-        report = dispatch(doc.language, doc.formula, query)
-    elif args.engine == "horn":
-        report = solve_horn(doc.formula, query)
-    elif args.engine == "w2a":
-        report = solve_width2affine(doc.formula, query)
-    elif args.engine == "generic":
-        report = solve_generic(doc.formula, query)
-    else:
-        report = solve_brute(doc.formula, query)
-    budget = oracle_budget(doc.formula.num_vars) if report.engine is Engine.GENERIC_ORACLE else None
-    sys.stdout.write(render_solve_report(report, budget))
+    formula, query = doc.formula, _query_of(doc, args.query)
+    # the engines are looked up when called, so a wrapper set on this module's
+    # attribute (as the benchmark tracer does) is the one run
+    engines = {
+        "auto": lambda: dispatch(doc.language, formula, query),
+        "horn": lambda: solve_horn(formula, query),
+        "w2a": lambda: solve_width2affine(formula, query),
+        "generic": lambda: solve_generic(formula, query),
+        "brute": lambda: solve_brute(formula, query),
+    }
+    report = engines[args.engine]()
+    a = report.answer
+    verdict = "yes" if a.verdict else "no"
+    details = [f"engine: {report.engine.value}", f"answer: {verdict} ({a.reason})"]
+    if a.min_weight is not None:
+        details.append(f"minimum model weight: {a.min_weight}")
+    if a.witness is not None:
+        details.append(f"witness: {a.witness}")
+    pairs = {"engine": report.engine.value, "verdict": verdict, "reason": a.reason,
+             "min_weight": a.min_weight, "witness": a.witness, "oracle_calls": report.oracle_calls}
+    if report.engine is Engine.GENERIC_ORACLE:
+        pairs["oracle_budget"] = oracle_budget(formula.num_vars)
+    _report(pairs, "solve report", details)
     return EXIT_OK
 
 
@@ -118,23 +150,13 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     rel_path.write_text(render_language(language))
     out_doc = FormulaFile(final.formula, language, final.query, (rel_path.name,))
     cms_path.write_text(render_formula_file(out_doc))
-    lines = [f"reduction pipeline to {target}"]
-    for step, out in zip(pipeline.steps, outputs):
-        lines.append(f"  {step}: {out.formula.num_vars} vars, "
-                     f"{out.formula.num_constraints} constraints")
-    lines.append("")
-    lines.append(f"target={target}")
-    lines.append("steps=" + ",".join(pipeline.steps))
-    lines.append(f"stages={len(outputs)}")
-    lines.append(f"query={final.query}")
-    lines.append(f"bound={final.bound if final.bound is not None else 'none'}")
-    lines.append(f"fresh_vars={final.stats.fresh_var_count}")
-    lines.append(f"boost_n={final.stats.boost_n if final.stats.boost_n is not None else 'none'}")
-    offset = final.stats.declared_weight_offset
-    lines.append(f"weight_offset={offset if offset is not None else 'none'}")
-    lines.append(f"formula_file={cms_path}")
-    lines.append(f"relation_file={rel_path}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _report({"target": target, "steps": ",".join(pipeline.steps), "stages": len(outputs),
+             "query": final.query, "bound": final.bound, "fresh_vars": final.stats.fresh_var_count,
+             "boost_n": final.stats.boost_n, "weight_offset": final.stats.declared_weight_offset,
+             "formula_file": cms_path, "relation_file": rel_path},
+            f"reduction pipeline to {target}",
+            (f"{step}: {out.formula.num_vars} vars, {out.formula.num_constraints} constraints"
+             for step, out in zip(pipeline.steps, outputs)))
     return EXIT_OK
 
 
@@ -146,10 +168,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     brute = cms_bruteforce(doc.formula, query)
     engine_report = dispatch(doc.language, doc.formula, query)
     agree = engine_report.answer == brute
-    sys.stdout.write(f"engine={engine_report.engine.value}\n")
-    sys.stdout.write(f"engine_answer={'yes' if engine_report.answer.verdict else 'no'}\n")
-    sys.stdout.write(f"brute_answer={'yes' if brute.verdict else 'no'}\n")
-    sys.stdout.write(f"agree={'true' if agree else 'false'}\n")
+    _report({"engine": engine_report.engine.value,
+             "engine_answer": "yes" if engine_report.answer.verdict else "no",
+             "brute_answer": "yes" if brute.verdict else "no", "agree": agree})
     return EXIT_OK if agree else EXIT_DISAGREE
 
 
@@ -164,12 +185,10 @@ def _cmd_abduce(args: argparse.Namespace) -> int:
     if args.hyp not in pap.hypotheses:
         raise ParseError(f"{args.hyp!r} is not a hypothesis of the instance")
     try:
-        relevant = relevance_bruteforce(pap, args.hyp, args.semantics)
+        relevant, no_solution = relevance_bruteforce(pap, args.hyp, args.semantics), False
     except NoSolutionError:
-        sys.stdout.write("no_solution=true\nrelevant=no\n")
-        return EXIT_OK
-    sys.stdout.write("no_solution=false\n")
-    sys.stdout.write(f"relevant={'yes' if relevant else 'no'}\n")
+        relevant, no_solution = False, True
+    _report({"no_solution": no_solution, "relevant": "yes" if relevant else "no"})
     return EXIT_OK
 
 

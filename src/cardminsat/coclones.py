@@ -293,26 +293,3 @@ def all_labels(widths: tuple[int, ...] = (2, 3, 4)) -> list[CoCloneId]:
     for tag in IS_TAGS:
         out.extend(CoCloneId(tag, k) for k in widths)
     return out
-
-
-# --- report --------------------------------------------------------------
-
-
-def format_verdict(verdict: ClassificationVerdict) -> str:
-    """Structured text report with a machine-readable key=value trailer."""
-    fp = verdict.fingerprint
-    lines = ["classification report"]
-    lines.append(f"  bucket: {verdict.bucket.value}")
-    lines.append(f"  co-clone: {verdict.coclone}")
-    flags = fp.flags()
-    lines.append("  properties: " + ", ".join(k for k, v in flags.items() if v))
-    lines.append("")
-    lines.append(f"bucket={verdict.bucket.value}")
-    lines.append(f"coclone={verdict.coclone}")
-    for key, val in flags.items():
-        lines.append(f"{key}={'true' if val else 'false'}")
-    for k, v in fp.pos_width:
-        lines.append(f"width_positive_{k}={'true' if v else 'false'}")
-    for k, v in fp.neg_width:
-        lines.append(f"width_negative_{k}={'true' if v else 'false'}")
-    return "\n".join(lines) + "\n"

@@ -108,8 +108,6 @@ def reduce_or2_to_nae3(formula: Formula, query: str) -> ReductionOutput:
     """Positive 2-clauses to not-all-equal constraints with a weighted zero."""
     require_query(formula, query)
     _require_fragment(formula, (_OR2,), "positive-2-clause")
-    if not formula.constraints:
-        raise PreconditionError("the clause-to-NAE rewriting needs a non-empty formula")
     n = formula.num_vars
     big_n = n + 1
     pre = fresh_prefix(formula.universe)

@@ -235,24 +235,3 @@ def dispatch(language: ConstraintLanguage, formula: Formula, query: str) -> Solv
     if bucket is Bucket.POLY_WIDTH2_AFFINE:
         return solve_width2affine(formula, query)
     return solve_generic(formula, query)
-
-
-def render_solve_report(report: SolveReport, budget: int | None = None) -> str:
-    a = report.answer
-    lines = ["solve report"]
-    lines.append(f"  engine: {report.engine.value}")
-    lines.append(f"  answer: {'yes' if a.verdict else 'no'} ({a.reason})")
-    if a.min_weight is not None:
-        lines.append(f"  minimum model weight: {a.min_weight}")
-    if a.witness is not None:
-        lines.append(f"  witness: {a.witness}")
-    lines.append("")
-    lines.append(f"engine={report.engine.value}")
-    lines.append(f"verdict={'yes' if a.verdict else 'no'}")
-    lines.append(f"reason={a.reason}")
-    lines.append(f"min_weight={a.min_weight if a.min_weight is not None else 'none'}")
-    lines.append(f"witness={a.witness if a.witness is not None else 'none'}")
-    lines.append(f"oracle_calls={report.oracle_calls}")
-    if budget is not None:
-        lines.append(f"oracle_budget={budget}")
-    return "\n".join(lines) + "\n"

@@ -1,8 +1,12 @@
+import contextlib
+import io
+import random
+
 import pytest
 
-from cardminsat import (CoCloneId, ConstraintLanguage, build_named_relation, compose_chain,
-                        render_language, render_pap, reduce_cms_xor3_to_relevance, weak_base,
-                        Formula, constraint)
+from cardminsat import (Bucket, CoCloneId, ConstraintLanguage, all_labels, bucket_for_coclone,
+                        build_named_relation, cms_affine, compose_chain, render_language,
+                        render_pap, reduce_cms_xor3_to_relevance, weak_base, Formula, constraint)
 from cardminsat.cli import run
 from cardminsat.fileio import load_formula_file
 from cardminsat.reductions import OR2_WEAKBASE_TARGETS
@@ -121,9 +125,30 @@ def test_reduce_of_a_constraint_free_source_writes_a_loadable_pair(or2_files, ta
     assert doc.formula == final.formula and doc.query == final.query
 
 
-def test_reduce_rejects_polynomial_target(or2_files):
-    assert run(["reduce", str(or2_files / "f.cms"), "--target", "ID2",
+@pytest.mark.parametrize("tag, bucket", [("ID2", Bucket.THETA2_COMPLETE), ("IE2", Bucket.POLY_HORN),
+                                         ("ID1", Bucket.POLY_WIDTH2_AFFINE)],
+                         ids=["ID2", "IE2", "ID1"])
+def test_reduce_to_a_label_with_no_reduction_chain_is_refused(or2_files, tag, bucket):
+    # ID2 is hard but has no gadget; IE2 and ID1 are polynomial
+    assert bucket_for_coclone(CoCloneId(tag)) is bucket
+    assert run(["reduce", str(or2_files / "f.cms"), "--target", tag,
                 "--out", str(or2_files / "nope")]) == 3
+
+
+@pytest.mark.parametrize("tag, num_vars", [("IL2", 59537), ("IL3", 75383), ("IL1", 7108)])
+def test_reduce_of_a_constraint_free_source_reaches_the_parity_weak_bases(or2_files, tag,
+                                                                          num_vars, capsys):
+    (or2_files / "g.cms").write_text("lang lang.rel\nvar a\nquery a\n")
+    out = or2_files / f"out_{tag}"
+    assert run(["reduce", str(or2_files / "g.cms"), "--target", tag,
+                "--out", str(out)]) == 0, capsys.readouterr().err
+    doc = load_formula_file(out.with_suffix(".cms"))
+    assert list(doc.language) == [weak_base(CoCloneId(tag))]
+    final = compose_chain(CoCloneId(tag)).run(Formula.of([], ("a",)), "a")[-1]
+    assert doc.formula == final.formula and doc.query == final.query == "a"
+    assert doc.formula.num_vars == num_vars
+    # the source's minimum model leaves a false, and so does the target's
+    assert cms_affine(doc.formula, "a")[2] is False
 
 
 def test_abduce(tmp_path, capsys):
@@ -231,3 +256,42 @@ def test_reduce_onto_a_directory_is_an_input_error(or2_files, capsys):
     assert run(["reduce", str(or2_files / "f.cms"), "--target", "IL2",
                 "--out", str(or2_files / "d")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _random_relation_file(rng, path, count):
+    """`count` relations of arity 1-4 with random tuple sets, empty ones included."""
+    blocks, arities = [], []
+    for i in range(count):
+        k = rng.randint(1, 4)
+        rows = [format(t, f"0{k}b") for t in range(1 << k) if rng.random() < rng.choice((0, .3, .7))]
+        blocks.append(f"relation R{i} {k}\n" + "".join(r + "\n" for r in rows) + "\n")
+        arities.append(k)
+    path.write_text("".join(blocks))
+    return arities
+
+
+def test_random_inputs_exit_only_with_documented_codes(tmp_path):
+    """Seeded sweep: no exception escapes `run`, every exit code is 0, 2 or 3,
+    and `verify` never finds the dispatched engine and brute force apart."""
+    rng = random.Random(16)
+    targets = [(c.tag, c.width) for c in all_labels((2, 3))]
+    calls = 0
+    for i in range(225):
+        rel, cms = tmp_path / f"l{i}.rel", tmp_path / f"f{i}.cms"
+        arities = _random_relation_file(rng, rel, rng.randint(1, 3))
+        names = [f"x{j}" for j in range(rng.randint(1, 7))]
+        cons = "".join(f"c R{r} " + " ".join(rng.choice(names) for _ in range(arities[r])) + "\n"
+                       for r in (rng.randrange(len(arities)) for _ in range(rng.randint(0, 6))))
+        cms.write_text(f"lang {rel.name}\nvar {' '.join(names)}\n{cons}query {rng.choice(names)}\n")
+        tag, width = rng.choice(targets)
+        argvs = [["classify", str(rel)], ["verify", str(cms)],
+                 *(["solve", str(cms), "--engine", e] for e in ("auto", "horn", "w2a", "generic", "brute")),
+                 ["reduce", str(cms), "--target", tag, *(["--width", str(width)] if width else []),
+                  "--out", str(tmp_path / "red")]]
+        for argv in argvs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 2, 3) and "Traceback" not in err.getvalue(), (argv, cms.read_text())
+            calls += 1
+    assert calls == 1800

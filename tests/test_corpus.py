@@ -10,6 +10,8 @@ from pathlib import Path
 
 from cardminsat.abduction import parse_pap
 from cardminsat.cli import run
+from cardminsat.coclones import all_labels
+from cardminsat.reductions import OR2_WEAKBASE_TARGETS, XOR3_WEAKBASE_TARGETS
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -79,3 +81,42 @@ def test_cli_output_on_the_corpus_is_pinned():
         calls += 1
     assert calls >= 400
     assert digest.hexdigest() == CORPUS_STDOUT_SHA256
+
+
+# sha256 of every corpus `reduce` call below (its report with the output
+# directory masked, its exit code and the bytes of the pair it writes) and of
+# `weakbase` on every label at widths 2-4.
+REDUCE_WEAKBASE_SHA256 = "16171569634ff690c7acb24e06789b4a85033b3557b197e73393aea186b76519"
+
+CHAIN_TARGETS = [(tag, w) for tag in OR2_WEAKBASE_TARGETS + XOR3_WEAKBASE_TARGETS
+                 for w in ((2, 3) if tag.startswith("IS") else (None,))]
+
+
+def _capture(argv, mask=None):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    texts = [out.getvalue(), err.getvalue()]
+    if mask is not None:
+        texts = [t.replace(str(mask), "<out>") for t in texts]
+    return code, *texts
+
+
+def test_reduce_and_weakbase_output_is_pinned(tmp_path):
+    digest = hashlib.sha256()
+    prefix = tmp_path / "red"
+    pair = [prefix.with_suffix(".rel"), prefix.with_suffix(".cms")]
+    for path in sorted((CORPUS / "formulas").glob("*.cms")):
+        for tag, width in CHAIN_TARGETS:
+            args = ["--target", tag] + (["--width", str(width)] if width else [])
+            record = (path.name, args, *_capture(["reduce", str(path), *args,
+                                                  "--out", str(prefix)], tmp_path))
+            digest.update(repr(record).encode() + b"\n")
+            for written in pair:
+                if written.exists():
+                    digest.update(hashlib.sha256(written.read_bytes()).digest())
+                    written.unlink()
+    for label in all_labels((2, 3, 4)):
+        argv = ["weakbase", label.tag] + (["--width", str(label.width)] if label.width else [])
+        digest.update(repr((argv, *_capture(argv))).encode() + b"\n")
+    assert digest.hexdigest() == REDUCE_WEAKBASE_SHA256

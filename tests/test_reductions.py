@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from cardminsat import (CmsStarInstance, CoCloneId, Formula, PreconditionError, Relation,
-                        cms_bruteforce, cms_star_bruteforce, compose_chain, constraint,
+from cardminsat import (Assignment, CmsStarInstance, CoCloneId, Formula, PreconditionError,
+                        Relation, cms_bruteforce, cms_star_bruteforce, compose_chain, constraint,
                         enumerate_models, lift_model, reduce_nae3_to_xor3_star,
                         reduce_or2_to_nae3, reduce_to_weakbase, reduce_xor3_star_to_xor4,
                         reduce_xor3xor2_to_xor3, reduce_xor4_to_xor3_xor2, restrict_model)
@@ -44,9 +44,15 @@ def test_step1_repeated_variable_clause():
     assert cms_bruteforce(out.formula, "x").verdict
 
 
+def test_step1_on_a_constraint_free_source_keeps_the_constant_block():
+    f = Formula.of([], universe=("x",))
+    out = reduce_or2_to_nae3(f, "x")
+    assert out.formula.num_constraints == 3  # NAE3(f,f,t) and N = n+1 = 2 boost copies
+    assert cms_bruteforce(out.formula, "x").key() == (True, 1, False)
+    assert lift_model(out, Assignment(("x",), (0,))).weight == 1
+
+
 def test_step1_rejects_bad_input():
-    with pytest.raises(PreconditionError):
-        reduce_or2_to_nae3(Formula.of([], universe=("x",)), "x")
     with pytest.raises(PreconditionError):
         reduce_or2_to_nae3(Formula.of([constraint(NAE3, "x", "y", "z")]), "x")
 
