@@ -1,14 +1,16 @@
-"""Closure properties of relations: polymorphism tests, the properties and
-least clause widths read off membership tables, property fingerprints,
-clause saturation, conjunction definability and the exact pp-membership
-test for small relations."""
+"""Closure properties of relations: polymorphism tests, the properties read
+off membership tables, the least clause widths of all eight IS chains from
+one pass per relation, property fingerprints, clause saturation,
+conjunction definability and the exact pp-membership test for small
+relations."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -93,6 +95,25 @@ def _columns(arity: int) -> np.ndarray:
     return ((space >> shifts[:, None]) & np.uint32(1)).astype(bool)
 
 
+_PAIR_TESTS = {"eq": np.equal, "neq": np.not_equal, "impl": np.less_equal}
+
+
+def _template_mask(kind: str, cols: np.ndarray, tup: np.ndarray) -> np.ndarray:
+    """The points that satisfy every implied constraint of one fixed-width
+    template kind; ``tup`` holds the coordinate bits of the relation's
+    tuples.  On bits, ``<=`` is implication."""
+    if kind == "T":
+        return cols[tup.all(axis=1)].all(axis=0)
+    if kind == "F":
+        return ~cols[~tup.any(axis=1)].any(axis=0)
+    coord = np.arange(len(cols))
+    # ordered pairs for impl, else the pairs of np.triu_indices(k, 1), built faster
+    i, j = np.nonzero(coord[:, None] != coord if kind == "impl" else coord[:, None] < coord)
+    test = _PAIR_TESTS[kind]
+    keep = test(tup[i], tup[j]).all(axis=1)
+    return test(cols[i[keep]], cols[j[keep]]).all(axis=0)
+
+
 def saturated_models(rel: Relation, kinds: Iterable[str], width: int | None = None) -> np.ndarray:
     """Model table of the conjunction of all implied template constraints.
 
@@ -104,22 +125,8 @@ def saturated_models(rel: Relation, kinds: Iterable[str], width: int | None = No
     acc = np.ones(1 << k, dtype=bool)
     tup = cols[:, np.flatnonzero(rel.table())]  # (k, r) coordinate bits of the relation's tuples
     kindset = set(kinds)
-    if "T" in kindset:
-        acc &= cols[tup.all(axis=1)].all(axis=0)
-    if "F" in kindset:
-        acc &= ~cols[~tup.any(axis=1)].any(axis=0)
-    coord = np.arange(k)
-    i, j = np.nonzero(coord[:, None] < coord)  # the pairs of np.triu_indices(k, 1), built faster
-    if "eq" in kindset:
-        keep = (tup[i] == tup[j]).all(axis=1)
-        acc &= (cols[i[keep]] == cols[j[keep]]).all(axis=0)
-    if "neq" in kindset:
-        keep = (tup[i] != tup[j]).all(axis=1)
-        acc &= (cols[i[keep]] != cols[j[keep]]).all(axis=0)
-    if "impl" in kindset:
-        i, j = np.nonzero(coord[:, None] != coord)
-        keep = (tup[i] <= tup[j]).all(axis=1)
-        acc &= (~cols[i[keep]] | cols[j[keep]]).all(axis=0)
+    for kind in kindset - {"pos", "neg"}:
+        acc &= _template_mask(kind, cols, tup)
     for kind, lits, points in (("pos", tup, cols), ("neg", ~tup, ~cols)):
         if kind not in kindset:
             continue
@@ -161,30 +168,44 @@ IS_TEMPLATES: dict[str, tuple[str, ...]] = {
 }
 
 
-@lru_cache(maxsize=4096)
-def least_width(rel: Relation, kinds: tuple[str, ...]) -> int | None:
-    """Least width w >= 1 with ``saturated_models(rel, kinds, w)`` equal to
-    the table of ``rel``, or None when no width defines ``rel``.
+def _clause_needs(table: np.ndarray) -> np.ndarray:
+    """For each point, the width of the narrowest implied positive clause it
+    falsifies, or arity + 1 when there is none.  A positive clause on the
+    coordinate set S removes the points that are 0 on all of S, and is
+    implied iff no member is."""
+    size = len(table)
+    k = size.bit_length() - 1
+    # inside[S]: some member lies inside the complement of S
+    inside = _subset_fold(table.copy(), np.logical_or)[::-1]
+    width = np.where(inside, k + 1, np.bitwise_count(np.arange(size)))
+    width[0] = k + 1  # the empty clause is not a template
+    return _subset_fold(width, np.minimum)[::-1]
 
-    ``kinds`` holds "pos" or "neg" besides fixed-width templates.  A
-    positive clause on the coordinate set S removes the points that are 0
-    on all of S, and is implied iff no member is.  So the answer is the
-    widest of the narrowest implied clauses that the points left by the
-    other templates need.  Negative clauses are positive ones on the
-    reversed (complemented) table.
+
+@lru_cache(maxsize=4096)
+def least_widths(rel: Relation) -> Mapping[str, int | None]:
+    """For each IS chain, the least width w >= 1 with
+    ``saturated_models(rel, IS_TEMPLATES[tag], w)`` equal to the table of
+    ``rel``, or None when no width defines ``rel``.
+
+    A chain's width is the widest of the narrowest implied clauses that the
+    non-members left by its fixed templates need.  One pass builds the four
+    fixed-template masks and, per clause side, the narrowest clause each
+    point falsifies; negative clauses are positive ones on the reversed
+    (complemented) table.
     """
     k = rel.arity
-    clause = "pos" if "pos" in kinds else "neg"
     table = rel.table()
-    left = saturated_models(rel, [t for t in kinds if t != clause]) & ~table
-    if clause == "neg":
-        table, left = table[::-1], left[::-1]
-    # the clause on S is implied iff no member lies inside the complement of S
-    inside = _subset_fold(table.copy(), np.logical_or)[::-1]
-    width = np.where(inside, k + 1, np.bitwise_count(np.arange(1 << k)))
-    width[0] = k + 1  # the empty clause is not a template
-    need = int(_subset_fold(width, np.minimum)[::-1][left].max(initial=1))
-    return need if need <= k else None
+    cols = _columns(k)
+    tup = cols[:, np.flatnonzero(table)]
+    masks = {kind: _template_mask(kind, cols, tup) for kind in ("eq", "F", "T", "impl")}
+    needs = {"pos": _clause_needs(table), "neg": _clause_needs(table[::-1])[::-1]}
+    out = {}
+    for tag, kinds in IS_TEMPLATES.items():
+        left = reduce(np.logical_and, (masks[t] for t in kinds if t in masks), ~table)
+        need = int(needs["pos" if "pos" in kinds else "neg"][left].max(initial=1))
+        out[tag] = need if need <= k else None
+    return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +258,8 @@ def relation_properties(rel: Relation) -> frozenset[str]:
     return frozenset(key for key, value in has.items() if value)
 
 
-def _width_flags(language: ConstraintLanguage, kinds: tuple[str, ...]) -> tuple[tuple[int, bool], ...]:
-    least = [least_width(r, kinds) for r in language]
+def _width_flags(language: ConstraintLanguage, tag: str) -> tuple[tuple[int, bool], ...]:
+    least = [least_widths(r)[tag] for r in language]
     return tuple((k, all(w is not None and w <= k for w in least))
                  for k in range(2, language.max_arity + 1))
 
@@ -246,8 +267,7 @@ def _width_flags(language: ConstraintLanguage, kinds: tuple[str, ...]) -> tuple[
 def fingerprint(language: ConstraintLanguage) -> PropertyFingerprint:
     """The properties and clause widths every relation in the language has."""
     return PropertyFingerprint(frozenset.intersection(*map(relation_properties, language)),
-                               _width_flags(language, IS_TEMPLATES["IS00"]),
-                               _width_flags(language, IS_TEMPLATES["IS10"]))
+                               _width_flags(language, "IS00"), _width_flags(language, "IS10"))
 
 
 # ---------------------------------------------------------------------------

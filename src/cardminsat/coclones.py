@@ -4,7 +4,9 @@ registry.
 Membership of a relation in a labeled co-clone is decided either by closure
 properties (Horn = AND-closed, affine = XOR-definable, ...) or, for the
 bounded-width IS chains, by the least clause width of the chain's template,
-all read off the relation's membership table.  The containment order and
+all read off the relation's membership table; one pass gives all eight
+chains' widths.  A language's co-clone is read off the properties and
+widths of its non-empty relations.  The containment order and
 each label's tractability bucket are derived from two tables: the closure
 properties of each property-based label and the clause templates of the
 labels that clauses generate.  The test suite revalidates the order against
@@ -24,7 +26,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable
 
-from .classify import (IS_TEMPLATES, PropertyFingerprint, fingerprint, least_width,
+from .classify import (IS_TEMPLATES, PropertyFingerprint, fingerprint, least_widths,
                        relation_properties)
 from .errors import CardMinSatError, GuardError
 from .relations import MAX_ARITY, ConstraintLanguage, Relation, build_named_relation
@@ -112,18 +114,13 @@ def _templates(c: CoCloneId) -> frozenset[str] | None:
 # --- membership --------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
-def _is_member(rel: Relation, tag: str, width: int | None) -> bool:
+def relation_in_coclone(rel: Relation, c: CoCloneId) -> bool:
     if rel.rows == 0:
         return True  # the empty relation lies in every co-clone
-    if tag in IS_TEMPLATES:
-        least = least_width(rel, IS_TEMPLATES[tag])
-        return least is not None and least <= width
-    return _CLOSED_PROPS[tag] <= relation_properties(rel)
-
-
-def relation_in_coclone(rel: Relation, c: CoCloneId) -> bool:
-    return _is_member(rel, c.tag, c.width)
+    if c.tag in IS_TEMPLATES:
+        least = least_widths(rel)[c.tag]
+        return least is not None and least <= c.width
+    return _CLOSED_PROPS[c.tag] <= relation_properties(rel)
 
 
 def language_in_coclone(language: ConstraintLanguage, c: CoCloneId) -> bool:
@@ -199,15 +196,18 @@ def classify_cms(language: ConstraintLanguage) -> ClassificationVerdict:
 
 def identify_coclone(language: ConstraintLanguage) -> CoCloneId:
     """Least labeled co-clone containing the language (= its co-clone,
-    since a finite language always generates a labeled one)."""
-    members: list[CoCloneId] = []
-    for tag in NON_IS_TAGS:
-        c = CoCloneId(tag)
-        if language_in_coclone(language, c):
-            members.append(c)
+    since a finite language always generates a labeled one).
+
+    The empty relation lies in every co-clone, so only the non-empty
+    relations count.  The property labels containing them are read off the
+    properties they all have, and each IS chain's width off their least
+    widths."""
+    rels = [r for r in language if r.rows]
+    props = _CLOSED_PROPS["IBF"].intersection(*map(relation_properties, rels))  # IBF has all seven
+    members = [CoCloneId(tag) for tag, need in _CLOSED_PROPS.items() if need <= props]
+    widths = [least_widths(r) for r in rels]
     for tag in IS_TAGS:
-        # the empty relation lies in every co-clone
-        least = [least_width(r, IS_TEMPLATES[tag]) for r in language if r.rows]
+        least = [w[tag] for w in widths]
         if None not in least:
             members.append(CoCloneId(tag, max([2, *least])))
     minima = [m for m in members if all(coclone_leq(m, other) for other in members)]

@@ -9,7 +9,7 @@ from cardminsat import (AND2, ConstraintLanguage, GuardError, MAJ3, NOT1, OR2 as
                         build_named_relation, closed_under,
                         conjunction_definability, fictitious_coordinates, fingerprint,
                         is_irredundant, pp_membership)
-from cardminsat.classify import least_width, op_from_function, relation_properties, saturated_models
+from cardminsat.classify import least_widths, op_from_function, relation_properties, saturated_models
 from cardminsat.coclones import IS_TEMPLATES, CoCloneId, weak_base
 
 from helpers import EQ, F, IMPL, NAE3, NEQ, OR2, T, XOR3
@@ -118,14 +118,62 @@ def test_saturated_models_matches_per_template_loops():
                 assert got.dtype == want.dtype and (got == want).all(), (rel, kinds, width)
 
 
+def _block_relation(k: int, rng: random.Random) -> Relation:
+    """Coordinates split into random blocks; within a block each coordinate
+    equals or negates the block's first one (EQ/NEQ constraints only)."""
+    leader, negated = list(range(k)), [False] * k
+    for i in range(1, k):
+        if rng.random() < 0.6:
+            leader[i], negated[i] = leader[rng.randrange(i)], rng.random() < 0.5
+    rows = 0
+    for idx in range(1 << k):
+        bits = [(idx >> (k - 1 - i)) & 1 for i in range(k)]
+        if all(bits[i] == bits[leader[i]] ^ negated[i] for i in range(k)):
+            rows |= 1 << idx
+    return Relation("r", k, rows)
+
+
+def _clause_relation(k: int, rng: random.Random, positive: bool) -> Relation:
+    """A few random clauses of width 1-5, all positive or all negative,
+    and one implication between two coordinates."""
+    clauses = [rng.sample(range(k), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
+    a, b = rng.sample(range(k), 2)
+    rows = 0
+    for idx in range(1 << k):
+        bits = [(idx >> (k - 1 - i)) & 1 for i in range(k)]
+        if bits[a] <= bits[b] and all(any(bits[i] == positive for i in c) for c in clauses):
+            rows |= 1 << idx
+    return Relation("r", k, rows)
+
+
+def _wide_relations() -> list[Relation]:
+    """Seeded relations of arity 7-10: empty and full, closures of a few
+    random tuples under AND or OR, EQ/NEQ block relations, positive or
+    negative clauses with an implication, sparse and random ones."""
+    rng = random.Random(17)
+    rels = []
+    for k in range(7, 11):
+        rels += [Relation("r", k, 0), Relation("r", k, (1 << (1 << k)) - 1)]
+        for op in (lambda a, b: a & b, lambda a, b: a | b):
+            for _ in range(2):
+                seed = {rng.randrange(1 << k) for _ in range(rng.randint(1, 5))}
+                rels.append(Relation("r", k, sum(1 << i for i in _closure(seed, op, 2))))
+        rels += [_block_relation(k, rng) for _ in range(2)]
+        rels += [_clause_relation(k, rng, positive) for positive in (True, False, True, False)]
+        rels.append(Relation("r", k, sum(1 << i for i in {rng.randrange(1 << k) for _ in range(3)})))
+        rels.append(Relation("r", k, rng.getrandbits(1 << k)))
+    return rels
+
+
 def test_least_width_matches_saturation_at_every_width():
-    for rel in _table_test_relations():
+    for rel in _table_test_relations() + _wide_relations():
         table = rel.table()
-        for kinds in IS_TEMPLATES.values():
-            least = least_width(rel, kinds)
+        widths = least_widths(rel)
+        assert set(widths) == set(IS_TEMPLATES)
+        for tag, kinds in IS_TEMPLATES.items():
             for w in range(1, rel.arity + 1):
                 defined = bool((saturated_models(rel, kinds, w) == table).all())
-                assert defined == (least is not None and least <= w), (rel, kinds, w)
+                assert defined == (widths[tag] is not None and widths[tag] <= w), (rel, tag, w)
 
 
 def test_closed_under_examples():

@@ -141,6 +141,35 @@ def test_membership_is_the_up_set_of_the_identified_coclone():
             assert relation_in_coclone(rel, c) == coclone_leq(m, c), (arity, rows, str(m), str(c))
 
 
+def test_identify_combines_relations_as_the_least_label_containing_them():
+    # 200 seeded languages of 2-3 relations of arity 1-5, empty ones mixed
+    # in: the identified co-clone is the unique least label (IS widths up
+    # to 5) that contains every relation.
+    labels = all_labels((2, 3, 4, 5))
+    pool = [weak_base(c) for c in all_labels((2, 3)) if weak_base(c).arity <= 5]
+    pool += [build_named_relation(f, k) for f, k in (
+        ("OR", 2), ("OR", 3), ("NAND", 2), ("NAND", 3), ("XOR", 3), ("EVEN", 3), ("EQ", None),
+        ("NEQ", None), ("IMPL", None), ("T", None), ("F", None), ("NAE3", None))]
+    rng = random.Random(17)
+
+    def draw() -> Relation:
+        k, roll = rng.randint(1, 5), rng.random()
+        if roll < 0.15:
+            return Relation("r", k, 0)
+        if roll < 0.6:
+            return rng.choice(pool)
+        if roll < 0.85:  # a few tuples, often in a small co-clone
+            return Relation("r", k, sum(1 << i for i in {rng.randrange(1 << k) for _ in range(3)}))
+        return Relation("r", k, rng.getrandbits(1 << k))
+
+    for _ in range(200):
+        language = ConstraintLanguage(tuple(draw().renamed(f"r{i}")
+                                            for i in range(rng.randint(2, 3))))
+        above = [c for c in labels if language_in_coclone(language, c)]
+        least = [c for c in above if all(coclone_leq(c, d) for d in above)]
+        assert least == [identify_coclone(language)], [(r.arity, r.rows) for r in language]
+
+
 def test_empty_relation_identifies_as_the_bottom_coclone():
     from cardminsat import Relation
     empty = Relation("none", 3, 0)
