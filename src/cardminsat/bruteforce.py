@@ -9,7 +9,6 @@ import numpy as np
 from .errors import GuardError, PreconditionError
 from .formulas import Assignment, CmsAnswer, CmsStarInstance, Formula, require_query
 from .relations import index_to_tuple
-from . import search
 
 DEFAULT_MAX_VARS = 24
 _CHUNK = 1 << 20
@@ -85,14 +84,9 @@ def cms_star_bruteforce(instance: CmsStarInstance, max_vars: int = DEFAULT_MAX_V
 
 
 def frozen_vars(formula: Formula, max_vars: int = DEFAULT_MAX_VARS) -> dict[str, int]:
-    """Variables taking one fixed value across all models, with that value.
-
-    Enumerates the models, or probes satisfiability when the universe is
-    beyond ``max_vars``.  The formula must be satisfiable.
-    """
-    if formula.num_vars > max_vars:
-        return search.frozen_by_probing(formula)
-    n = formula.num_vars
+    """Variables taking one fixed value across all models, with that value,
+    by enumerating the models.  The formula must be satisfiable."""
+    n = _check_guard(formula, max_vars)
     always, ever = -1, 0  # AND and OR of the model indices; no model leaves always at -1
     for chunk in _model_chunks(formula, n):
         if len(chunk):

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-from .abduction import parse_pap, relevance_bruteforce
+from .abduction import CLOSED_WORLD, SEMANTICS, parse_pap, relevance_bruteforce
 from .bruteforce import cms_bruteforce
 from .coclones import CoCloneId, classify_cms, weak_base
 from .errors import GuardError, NoSolutionError, ParseError, PreconditionError
@@ -28,6 +28,17 @@ EXIT_GUARD = 3
 EXIT_DISAGREE = 4
 
 
+# The engines are looked up when called, so a wrapper set on this module's
+# attribute (as the benchmark tracer does) is the one run.
+_ENGINES = {
+    "auto": lambda doc, query: dispatch(doc.language, doc.formula, query),
+    "horn": lambda doc, query: solve_horn(doc.formula, query),
+    "w2a": lambda doc, query: solve_width2affine(doc.formula, query),
+    "generic": lambda doc, query: solve_generic(doc.formula, query),
+    "brute": lambda doc, query: solve_brute(doc.formula, query),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cardminsat",
                                      description="minimum-weight SAT toolkit")
@@ -39,8 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="answer a minimum-weight query")
     p.add_argument("file")
     p.add_argument("--query")
-    p.add_argument("--engine", choices=("auto", "horn", "w2a", "generic", "brute"),
-                   default="auto")
+    p.add_argument("--engine", choices=tuple(_ENGINES), default="auto")
 
     p = sub.add_parser("reduce", help="run a hardness reduction chain")
     p.add_argument("file")
@@ -60,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abduce", help="minimum-size-explanation relevance")
     p.add_argument("file")
     p.add_argument("--hyp", required=True)
-    p.add_argument("--semantics", choices=("cw", "pu"), default="cw")
+    p.add_argument("--semantics", choices=SEMANTICS, default=CLOSED_WORLD)
     return parser
 
 
@@ -103,17 +113,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     doc = load_formula_file(args.file)
-    formula, query = doc.formula, _query_of(doc, args.query)
-    # the engines are looked up when called, so a wrapper set on this module's
-    # attribute (as the benchmark tracer does) is the one run
-    engines = {
-        "auto": lambda: dispatch(doc.language, formula, query),
-        "horn": lambda: solve_horn(formula, query),
-        "w2a": lambda: solve_width2affine(formula, query),
-        "generic": lambda: solve_generic(formula, query),
-        "brute": lambda: solve_brute(formula, query),
-    }
-    report = engines[args.engine]()
+    report = _ENGINES[args.engine](doc, _query_of(doc, args.query))
     a = report.answer
     verdict = "yes" if a.verdict else "no"
     details = [f"engine: {report.engine.value}", f"answer: {verdict} ({a.reason})"]
@@ -124,7 +124,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     pairs = {"engine": report.engine.value, "verdict": verdict, "reason": a.reason,
              "min_weight": a.min_weight, "witness": a.witness, "oracle_calls": report.oracle_calls}
     if report.engine is Engine.GENERIC_ORACLE:
-        pairs["oracle_budget"] = oracle_budget(formula.num_vars)
+        pairs["oracle_budget"] = oracle_budget(doc.formula.num_vars)
     _report(pairs, "solve report", details)
     return EXIT_OK
 
@@ -181,7 +181,7 @@ def _cmd_weakbase(args: argparse.Namespace) -> int:
 
 
 def _cmd_abduce(args: argparse.Namespace) -> int:
-    pap = parse_pap(Path(args.file).read_text())
+    pap = parse_pap(Path(args.file).read_bytes().decode())
     if args.hyp not in pap.hypotheses:
         raise ParseError(f"{args.hyp!r} is not a hypothesis of the instance")
     try:

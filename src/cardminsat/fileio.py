@@ -1,26 +1,84 @@
-"""Exact text formats for relations and formulas.
+"""Exact text formats for relations and formulas, and the one reader that
+these files and abduction files are read through.
 
-Relation file: repeated blocks of
-
-    relation NAME k
-    <k-character 0/1 row>
-    ...
-    <blank line>
+Relation file: blocks of a ``relation NAME k`` line, the k-character 0/1
+rows in strictly ascending order, and a blank line.
 
 Formula file: ``lang FILE`` import lines, an optional ``var x1 x2 ...``
 universe line, one ``c NAME v1 ... vk`` line per constraint, and an optional
-``query x`` line, in that order.  Single spaces and LF line endings only;
-serializing a parsed file reproduces it byte for byte.
+``query x`` line, in that order.
+
+The reader keeps three rules:
+
+- line rule: every line ends in LF, the last one too; its tokens hold no
+  whitespace and are joined by single spaces; a blank line has no tokens;
+- count rule: a count (a relation's arity) is canonical ASCII decimal;
+- tag-order rule: a formula or abduction line starts with a tag, and the
+  tags come in a fixed order, each one either repeating or at most once.
+
+So a parsed file is written back byte for byte, except that a formula file
+with no ``var`` line is written back with one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
+from operator import itemgetter
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import GuardError, ParseError
 from .formulas import Constraint, Formula
 from .relations import ConstraintLanguage, Relation
+
+
+def read_lines(text: str) -> list[list[str]]:
+    """The tokens of each line of ``text``, under the line rule."""
+    if text and not text.endswith("\n"):
+        raise ParseError("the last line does not end in LF")
+    lines = []
+    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
+        tokens = line.split()
+        if " ".join(tokens) != line:
+            raise ParseError(f"line {lineno}: malformed line {line!r}")
+        lines.append(tokens)
+    return lines
+
+
+def read_count(token: str, lineno: int) -> int:
+    """A count, under the count rule."""
+    try:
+        if token.isascii() and token.isdigit() and str(int(token)) == token:
+            return int(token)
+    except ValueError:  # more digits than int() reads
+        pass
+    raise ParseError(f"line {lineno}: bad count {token!r}")
+
+
+def read_sections(text: str, grammar: str) -> dict[str, list[tuple[int, list[str]]]]:
+    """The lines of ``text`` under the line rule, grouped by their first
+    token, the tag: each tag maps to its (line number, other tokens) pairs.
+
+    ``grammar`` lists the tags in the order their lines must come, e.g.
+    ``"vars hyp man t*"``: a tag marked ``*`` may repeat, one marked ``?``
+    appears at most once, and an unmarked one exactly once.
+    """
+    marks = {t.rstrip("*?"): t[len(t.rstrip("*?")):] for t in grammar.split()}
+    rank = {tag: i for i, tag in enumerate(marks)}
+    sections: dict[str, list[tuple[int, list[str]]]] = {tag: [] for tag in marks}
+    at = 0
+    for lineno, tokens in enumerate(read_lines(text), start=1):
+        tag = tokens[0] if tokens else ""
+        if tag not in rank:
+            raise ParseError(f"line {lineno}: unknown line tag {tag!r}")
+        if rank[tag] < at or sections[tag] and marks[tag] != "*":
+            raise ParseError(f"line {lineno}: misplaced {tag!r} line")
+        at = rank[tag]
+        sections[tag].append((lineno, tokens[1:]))
+    for tag, mark in marks.items():
+        if mark == "" and not sections[tag]:
+            raise ParseError(f"missing {tag!r} line")
+    return sections
 
 
 def render_relation(rel: Relation) -> str:
@@ -35,38 +93,22 @@ def render_language(lang: ConstraintLanguage) -> str:
 
 
 def parse_language(text: str) -> ConstraintLanguage:
+    lines = read_lines(text)
+    if lines and lines[-1]:
+        raise ParseError("the last relation is not terminated by a blank line")
     relations = []
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    i = 0
-    while i < len(lines):
-        header = lines[i]
-        parts = header.split(" ")
-        if len(parts) != 3 or parts[0] != "relation" or " " in parts[1] + parts[2]:
-            raise ParseError(f"line {i + 1}: expected 'relation NAME k', got {header!r}")
-        name = parts[1]
-        try:
-            arity = int(parts[2])
-        except ValueError:
-            raise ParseError(f"line {i + 1}: bad arity {parts[2]!r}") from None
-        i += 1
-        rows = []
-        while i < len(lines) and lines[i] != "":
-            row = lines[i]
-            if len(row) != arity or set(row) - {"0", "1"}:
-                raise ParseError(f"line {i + 1}: bad matrix row {row!r} for arity {arity}")
-            rows.append(row)
-            i += 1
-        if i >= len(lines):
-            raise ParseError(f"relation {name!r} is not terminated by a blank line")
-        i += 1  # the blank terminator
+    numbered = iter(enumerate(lines, start=1))
+    for lineno, header in numbered:
+        if len(header) != 3 or header[0] != "relation":
+            raise ParseError(f"line {lineno}: expected 'relation NAME k', got {' '.join(header)!r}")
+        name, arity = header[1], read_count(header[2], lineno)
+        rows = [" ".join(tokens) for _, tokens in takewhile(itemgetter(1), numbered)]
         try:
             relations.append(Relation.from_rows(name, arity, rows))
-        except Exception as exc:
-            raise ParseError(str(exc)) from None
-    if not relations:
-        raise ParseError("relation file defines no relations")
+        except (ValueError, GuardError) as exc:
+            raise ParseError(f"relation {name!r}: {exc}") from None
+        if rows != sorted(set(rows)):
+            raise ParseError(f"relation {name!r}: rows are not in strictly ascending order")
     try:
         return ConstraintLanguage(tuple(relations))
     except ValueError as exc:
@@ -74,7 +116,7 @@ def parse_language(text: str) -> ConstraintLanguage:
 
 
 def load_language(path: str | Path) -> ConstraintLanguage:
-    return parse_language(Path(path).read_text())
+    return parse_language(Path(path).read_bytes().decode())
 
 
 @dataclass(frozen=True)
@@ -89,7 +131,7 @@ class FormulaFile:
 
 def render_formula_file(doc: FormulaFile) -> str:
     lines = [f"lang {p}" for p in doc.lang_paths]
-    lines.append("var " + " ".join(doc.formula.universe))
+    lines.append(" ".join(("var", *doc.formula.universe)))
     for c in doc.formula.constraints:
         lines.append("c " + c.relation.name + " " + " ".join(c.vars))
     if doc.query is not None:
@@ -97,82 +139,40 @@ def render_formula_file(doc: FormulaFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_formula_file(text: str, base_dir: str | Path | None = None,
-                       language: ConstraintLanguage | None = None) -> FormulaFile:
-    """Parse a formula file; ``lang`` imports resolve relative to base_dir.
-
-    A caller may instead supply the language directly, in which case the file
-    needs no ``lang`` lines.
-    """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    lang_paths: list[str] = []
-    universe: tuple[str, ...] | None = None
-    raw_constraints: list[tuple[str, tuple[str, ...], int]] = []
-    query: str | None = None
-    stage = 0  # 0: lang, 1: var, 2: constraints, 3: query, 4: done
-    for lineno, line in enumerate(lines, start=1):
-        if line == "" or line != line.strip() or "  " in line:
-            raise ParseError(f"line {lineno}: malformed line {line!r}")
-        parts = line.split(" ")
-        tag = parts[0]
-        if tag == "lang":
-            if stage > 0 or len(parts) != 2:
-                raise ParseError(f"line {lineno}: misplaced or malformed lang line")
-            lang_paths.append(parts[1])
-        elif tag == "var":
-            if stage > 0 and universe is not None or stage > 1:
-                raise ParseError(f"line {lineno}: misplaced var line")
-            if len(parts) < 2:
-                raise ParseError(f"line {lineno}: empty universe")
-            universe = tuple(parts[1:])
-            stage = 1
-        elif tag == "c":
-            if stage > 2:
-                raise ParseError(f"line {lineno}: constraint after query line")
-            if len(parts) < 3:
-                raise ParseError(f"line {lineno}: constraint needs a name and variables")
-            raw_constraints.append((parts[1], tuple(parts[2:]), lineno))
-            stage = 2
-        elif tag == "query":
-            if stage > 2 or len(parts) != 2:
-                raise ParseError(f"line {lineno}: misplaced or malformed query line")
-            query = parts[1]
-            stage = 3
-        else:
-            raise ParseError(f"line {lineno}: unknown line tag {tag!r}")
-    base = Path(base_dir) if base_dir is not None else Path(".")
-    merged = language
-    for p in lang_paths:
-        target = base / p
-        if not target.is_file():
-            raise ParseError(f"lang import {p!r} not found under {base}")
-        imported = load_language(target)
-        try:
-            merged = imported if merged is None else merged.union(imported)
-        except ValueError as exc:
-            raise ParseError(f"lang import {p!r}: {exc}") from None
-    if merged is None:
+def parse_formula_file(text: str, base_dir: str | Path | None = None) -> FormulaFile:
+    """Parse a formula file; ``lang`` imports resolve relative to base_dir."""
+    sections = read_sections(text, "lang* var? c* query?")
+    for tag in ("lang", "c", "query"):
+        for lineno, fields in sections[tag]:
+            if not fields or tag != "c" and len(fields) > 1:
+                raise ParseError(f"line {lineno}: malformed {tag!r} line")
+    lang_paths = tuple(fields[0] for _, fields in sections["lang"])
+    universe = next((tuple(fields) for _, fields in sections["var"]), None)
+    query = next((fields[0] for _, fields in sections["query"]), None)
+    if not lang_paths:
         raise ParseError("formula file imports no relation language")
-    constraints = []
-    for name, vs, lineno in raw_constraints:
+    merged = None
+    for p in lang_paths:
         try:
-            rel = merged.get(name)
-        except KeyError:
-            raise ParseError(f"line {lineno}: relation {name!r} is not defined") from None
-        if len(vs) != rel.arity:
-            raise ParseError(f"line {lineno}: {name} expects {rel.arity} variables, got {len(vs)}")
-        constraints.append(Constraint(rel, vs))
+            imported = load_language(Path(base_dir or ".") / p)
+            merged = imported if merged is None else merged.union(imported)
+        except (OSError, ValueError) as exc:
+            raise ParseError(f"lang import {p!r}: {exc}") from None
+    relations = {r.name: r for r in merged}
+    constraints = []
+    for lineno, fields in sections["c"]:
+        if fields[0] not in relations:
+            raise ParseError(f"line {lineno}: relation {fields[0]!r} is not defined")
+        constraints.append(Constraint(relations[fields[0]], tuple(fields[1:])))
     try:
         formula = Formula.of(constraints, universe=universe)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     if query is not None and query not in formula.universe:
         raise ParseError(f"query atom {query!r} is not in the universe")
-    return FormulaFile(formula, merged, query, tuple(lang_paths))
+    return FormulaFile(formula, merged, query, lang_paths)
 
 
 def load_formula_file(path: str | Path) -> FormulaFile:
     p = Path(path)
-    return parse_formula_file(p.read_text(), base_dir=p.parent)
+    return parse_formula_file(p.read_bytes().decode(), base_dir=p.parent)

@@ -67,7 +67,7 @@ class Relation:
     @classmethod
     def from_rows(cls, name: str, arity: int, rows: Iterable[str]) -> "Relation":
         """Build from matrix rows written as 0/1 strings, e.g. ``"100011"``."""
-        bitset = 0
+        bitset = cls(name, arity, 0).rows  # the empty relation, built first to guard the arity
         for r in rows:
             if len(r) != arity or set(r) - {"0", "1"}:
                 raise ValueError(f"bad matrix row {r!r} for arity {arity}")

@@ -127,6 +127,13 @@ def test_frozen_vars_unsat_is_an_error():
         frozen_by_probing(f)
 
 
+def test_frozen_vars_is_guarded_like_the_other_oracles():
+    wide = Formula.of([constraint(T, "v0")], universe=tuple(f"v{i}" for i in range(25)))
+    assert frozen_by_probing(wide) == {"v0": 1}
+    with pytest.raises(GuardError):
+        frozen_vars(wide)
+
+
 def test_frozen_vars_probe_agrees_with_enumeration():
     rng = random.Random(7)
     for _ in range(25):

@@ -173,6 +173,20 @@ def test_parse_error_exit_codes(tmp_path):
     assert run(["weakbase", "IL2", "--what"]) == 2
 
 
+def test_non_canonical_files_are_parse_errors(or2_files, capsys):
+    (or2_files / "plus.rel").write_text("relation X +2\n01\n\n")
+    assert run(["classify", str(or2_files / "plus.rel")]) == 2
+    # read as bytes: a CR before each LF is kept, and refused by the line rule
+    for name in ("lang.rel", "f.cms"):
+        crlf = or2_files / ("crlf_" + name)
+        crlf.write_bytes((or2_files / name).read_bytes().replace(b"\n", b"\r\n"))
+    assert run(["classify", str(or2_files / "crlf_lang.rel")]) == 2
+    assert run(["solve", str(or2_files / "crlf_f.cms")]) == 2
+    (or2_files / "crlf.pap").write_bytes(b"vars x\r\nhyp x\r\nman\r\n")
+    assert run(["abduce", str(or2_files / "crlf.pap"), "--hyp", "x"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_solve_without_any_query_is_a_usage_error(or2_files, tmp_path):
     text = (or2_files / "f.cms").read_text().replace("query x\n", "")
     noq = or2_files / "noq.cms"

@@ -103,6 +103,16 @@ def test_relation_validation():
         Relation.from_rows("r", 2, ["012"])
 
 
+def test_from_rows_guards_the_arity_before_reading_a_row():
+    # a 40-character row of 1s would set bit 2**40 - 1: a 128 GiB int
+    def rows():
+        raise AssertionError("a row was read past the arity guard")
+        yield
+
+    with pytest.raises(GuardError):
+        Relation.from_rows("wide", 40, rows())
+
+
 def test_columns_and_semantic_equality():
     rel = Relation.from_rows("r", 3, ["010", "110"])
     assert rel.column(1) == (0, 1)
